@@ -5,7 +5,7 @@ The fault-tolerance layer (watchdog deadlines, retry bookkeeping,
 quarantine plumbing, CRC-framed durable checkpoints) must be free when
 nothing fails: the acceptance criterion is **< 2% wall-clock overhead**
 on an undisturbed run.  This benchmark times the same seeded population
-through the same :class:`~repro.pipeline.runner.BatchRunner` twice —
+through the same :class:`~repro.pipeline.core.WorkQueueCore` twice —
 
 * ``bare``  — default :class:`RetryPolicy` (no per-item timeout, so no
   watchdog deadlines), no quarantine sink configured;
@@ -82,7 +82,7 @@ from repro.analysis import kernels  # noqa: E402
 from repro.generator.taskgen import GeneratorConfig, generate_taskset  # noqa: E402
 from repro.pipeline.fault_tolerance import RetryPolicy  # noqa: E402
 from repro.pipeline.request import AnalysisRequest  # noqa: E402
-from repro.pipeline.runner import BatchRunner  # noqa: E402
+from repro.pipeline.core import WorkQueueCore  # noqa: E402
 
 #: Clean-path ceiling from the issue, enforced on the full run.
 OVERHEAD_CEILING_PCT = 2.0
@@ -115,45 +115,48 @@ def _fingerprint(reports: Sequence[Any]) -> str:
     return json.dumps([r.to_dict() for r in reports], sort_keys=True)
 
 
+#: A built variant: the core to run on and the checkpoint path (if any).
+Built = Tuple[WorkQueueCore, Optional[Path]]
+
+
 @dataclass
 class Variant:
-    """One runner configuration under test."""
+    """One executor configuration under test."""
 
     name: str
-    build: Callable[[Path], BatchRunner]
+    build: Callable[[Path], Built]
 
 
-def _bare(jobs: int) -> Callable[[Path], BatchRunner]:
-    def build(_workdir: Path) -> BatchRunner:
-        return BatchRunner(jobs=jobs, install_signal_handlers=False)
+def _bare(jobs: int) -> Callable[[Path], Built]:
+    def build(_workdir: Path) -> Built:
+        return WorkQueueCore(jobs=jobs), None
 
     return build
 
 
-def _armed(jobs: int) -> Callable[[Path], BatchRunner]:
-    def build(workdir: Path) -> BatchRunner:
-        return BatchRunner(
+def _armed(jobs: int) -> Callable[[Path], Built]:
+    def build(workdir: Path) -> Built:
+        core = WorkQueueCore(
             jobs=jobs,
             retry=RetryPolicy(max_attempts=5, timeout=60.0),
             quarantine=workdir / "quarantine.jsonl",
-            install_signal_handlers=False,
         )
+        return core, None
 
     return build
 
 
-def _checkpointed(jobs: int) -> Callable[[Path], BatchRunner]:
-    def build(workdir: Path) -> BatchRunner:
+def _checkpointed(jobs: int) -> Callable[[Path], Built]:
+    def build(workdir: Path) -> Built:
         checkpoint = workdir / "checkpoint.jsonl"
         if checkpoint.exists():
             checkpoint.unlink()
-        return BatchRunner(
+        core = WorkQueueCore(
             jobs=jobs,
-            checkpoint=checkpoint,
             retry=RetryPolicy(max_attempts=5, timeout=60.0),
             quarantine=workdir / "quarantine.jsonl",
-            install_signal_handlers=False,
         )
+        return core, checkpoint
 
     return build
 
@@ -162,7 +165,7 @@ def _reset_caches(requests: Sequence[AnalysisRequest]) -> None:
     """Drop kernel memo/compile caches so each pass pays real compute.
 
     Without this the first (warm-up) pass would populate the global
-    fingerprint memo and every timed pass would measure only runner
+    fingerprint memo and every timed pass would measure only executor
     bookkeeping over free lookups — flattering, but not the workload
     the ceiling is about.  Workers are forked, so clearing the parent's
     caches makes the pool cold too.
@@ -179,9 +182,9 @@ def _reset_caches(requests: Sequence[AnalysisRequest]) -> None:
 def _cpu_seconds() -> float:
     """CPU consumed by this process and its reaped children.
 
-    The worker pool is built and torn down inside ``BatchRunner.run``,
-    so by the time a pass returns its workers are reaped and their CPU
-    is in ``RUSAGE_CHILDREN``.  ``getrusage`` (microsecond resolution)
+    Each pass runs on a fresh core and closes it inside the timed
+    window, so by the time a pass returns its workers are reaped and
+    their CPU is in ``RUSAGE_CHILDREN``.  ``getrusage`` (microsecond resolution)
     rather than ``os.times()`` (10 ms tick) — a 2% gate on a ~300 ms
     pass needs sub-millisecond resolution.
     """
@@ -193,7 +196,7 @@ def _cpu_seconds() -> float:
 def _time_pass(
     variant: Variant, requests: Sequence[AnalysisRequest], workdir: Path
 ) -> Tuple[float, float, str]:
-    runner = variant.build(workdir)
+    core, checkpoint = variant.build(workdir)
     _reset_caches(requests)
     # Cyclic GC fires at allocation-count thresholds, so whether a
     # gen-2 sweep lands inside a pass is an accident of history — a
@@ -203,14 +206,21 @@ def _time_pass(
     gc.disable()
     try:
         wall0, cpu0 = time.perf_counter(), _cpu_seconds()
-        reports = runner.run(list(requests))
+        try:
+            reports = core.run(
+                list(requests),
+                checkpoint=checkpoint,
+                install_signal_handlers=False,
+            )
+        finally:
+            core.close()
         wall = time.perf_counter() - wall0
         cpu = _cpu_seconds() - cpu0
     finally:
         gc.enable()
-    if runner.faults.any_faults():
+    if core.faults.any_faults():
         raise AssertionError(
-            f"{variant.name}: clean run recorded faults: {runner.faults.as_dict()}"
+            f"{variant.name}: clean run recorded faults: {core.faults.to_dict()}"
         )
     return wall, cpu, _fingerprint(reports)
 

@@ -7,8 +7,8 @@ behind a small, stable surface:
   :class:`~repro.pipeline.request.AnalysisReport` out (Theorem 2,
   Corollary 5, LO/HI feasibility, Lemma 6/7 bounds, per-task tuning).
 * :func:`analyze_many` — the same over a population, optionally across
-  worker processes with caching and checkpoint/resume
-  (:class:`~repro.pipeline.runner.BatchRunner`).
+  worker processes with caching and checkpoint/resume, through a
+  one-shot :class:`~repro.pipeline.core.WorkQueueCore`.
 * :func:`load_taskset` / :func:`save_taskset` /
   :func:`save_report` / :func:`load_report` — versioned JSON I/O.
 * The service surface: :func:`serve` runs the analysis-as-a-service
@@ -104,7 +104,7 @@ from repro.pipeline.request import (
     AnalysisRequest,
     evaluate_request,
 )
-from repro.pipeline.runner import BatchRunner, BatchStats, ProgressCallback
+from repro.pipeline.runner import BatchStats, ProgressCallback
 from repro.service.client import AnalysisClient, ServiceError
 from repro.service.schema import WIRE_VERSION, WireError
 from repro.service.server import serve
@@ -117,7 +117,6 @@ __all__ = [
     "AnalysisRequest",
     "AnalysisResult",
     "BatchAborted",
-    "BatchRunner",
     "BatchStats",
     "ClosedFormBounds",
     "EdfVdDegradedResult",
@@ -237,7 +236,6 @@ def analyze_many(
     resume: bool = False,
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
-    runner: Optional[BatchRunner] = None,
     retry: Optional[RetryPolicy] = None,
     quarantine: Optional[str] = None,
     population: bool = False,
@@ -257,10 +255,10 @@ def analyze_many(
     bounds the handling of infrastructure failures (worker crashes,
     broken pools, watchdog timeouts); ``quarantine`` names a JSONL file
     that collects items exhausting their attempts instead of aborting
-    the sweep.  Pass a pre-configured ``runner`` to reuse one across
-    calls (its stats then accumulate per call).  SIGINT/SIGTERM during
-    a run drains gracefully and raises :class:`BatchAborted` with the
-    resumable checkpoint path.
+    the sweep.  SIGINT/SIGTERM during a run drains gracefully and
+    raises :class:`BatchAborted` with the resumable checkpoint path.
+    The call runs on a one-shot :class:`WorkQueueCore`, closed (worker
+    processes included) before it returns.
 
     ``population=True`` groups compatible compiled-engine requests in
     each chunk into one shared-SoA evaluation
@@ -275,21 +273,20 @@ def analyze_many(
         else _build_request(item, speedup=speedup, budget=budget, **options)
         for item in tasksets
     ]
-    if runner is None:
-        if isinstance(cache, str):
-            cache = ResultCache(cache)
-        runner = BatchRunner(
-            jobs=jobs,
-            cache=cache,
-            checkpoint=checkpoint,
-            resume=resume,
-            chunk_size=chunk_size,
-            progress=progress,
-            retry=retry if retry is not None else RetryPolicy(),
-            quarantine=quarantine,
-            population=population,
+    core = WorkQueueCore(
+        jobs=jobs,
+        cache=ResultCache(cache) if isinstance(cache, str) else cache,
+        retry=retry,
+        quarantine=quarantine,
+        chunk_size=chunk_size,
+        population=population,
+    )
+    try:
+        return core.run(
+            requests, checkpoint=checkpoint, resume=resume, progress=progress
         )
-    return runner.run(requests)
+    finally:
+        core.close()
 
 
 def demand_curve(

@@ -2,20 +2,28 @@
 
 Usage::
 
-    repro-mc table1
-    repro-mc fig1 | fig3 | fig4 | fig5 | fig6 | fig7  [--jobs N]
-    repro-mc multiproc [--quick] [--jobs N]   # figM region maps
-    repro-mc validate            # simulator-vs-analysis cross-check
-    repro-mc resilience [--quick] [--csv out.csv] [--jobs N]  # fault sweeps
-    repro-mc all [--quick]
+    repro-mc table1 | fig1 | fig3 | fig4 | fig5 | validate
+    repro-mc fig6 | fig7 | multiproc [--quick] [--jobs N] [--population]
+    repro-mc resilience [--quick] [--jobs N] [--csv out.csv]
+    repro-mc all [--quick] [--jobs N] [--population] [--csv out.csv]
     repro-mc analyze --taskset my_tasks.json [--speedup 2] [--budget 5000]
-    repro-mc batch --tasksets dir/ --jobs N [--resume ckpt.jsonl]
-                   [--retries N] [--timeout SECS] [--quarantine out.jsonl]
+                     [--report]
+    repro-mc batch --tasksets dir/ [--jobs N] [--population] [--speedup S]
+                   [--budget B] [--checkpoint ckpt.jsonl] [--resume ckpt.jsonl]
+                   [--cache DIR] [--retries N] [--timeout SECS]
+                   [--quarantine out.jsonl] [--out DIR] [--csv out.csv]
+                   [--verbose] [--metrics out.json] [--trace out.jsonl]
     repro-mc serve [--host H] [--port P] [--jobs N] [--cache DIR]
+                   [--quarantine out.jsonl]
     repro-mc chaos [--quick] [--jobs N] [--families kill,poison,...]
-    repro-mc lint [paths ...] [--format json|sarif] [--write-baseline]
-                  [--lint-cache FILE] [--changed-only] [--write-contracts]
+                   [--chaos-seed N]
+    repro-mc lint [paths ...] [--jobs N] [--format text|json|sarif]
+                  [--baseline FILE] [--write-baseline] [--rules RL001,...]
+                  [--lint-cache FILE] [--changed-only] [--contracts FILE]
+                  [--write-contracts]
 
+Each command accepts only the flags listed for it; any other flag is a
+usage error (exit status 2).
 ``--quick`` shrinks the synthetic population sizes so the whole
 evaluation finishes in about a minute (the benchmark harness under
 ``benchmarks/`` runs the paper-scale versions).  ``analyze`` runs the
@@ -43,9 +51,10 @@ non-zero on any non-baselined finding.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 import time
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 
 def _run_table1() -> str:
@@ -65,80 +74,50 @@ def _run_table1() -> str:
     return "\n".join(out)
 
 
-def _run_fig1() -> str:
-    from repro.experiments import fig1
+def _render(module: str) -> Callable[[argparse.Namespace], str]:
+    """Runner for an experiment module whose ``render()`` needs no flags."""
 
-    return fig1.render()
+    def run(_args: argparse.Namespace) -> str:
+        return importlib.import_module(f"repro.experiments.{module}").render()
 
-
-def _run_fig3() -> str:
-    from repro.experiments import fig3
-
-    return fig3.render()
+    return run
 
 
-def _run_fig4() -> str:
-    from repro.experiments import fig4
+def _run_fig6(args: argparse.Namespace) -> str:
+    from repro.experiments import fig6
 
-    return fig4.render()
+    n = 60 if args.quick else 500
+    n_sweep = 30 if args.quick else 200
+    points = fig6.run(sets_per_point=n, jobs=args.jobs, population=args.population)
+    sweep = fig6.run_sweep(
+        sets_per_point=n_sweep, jobs=args.jobs, population=args.population
+    )
+    return fig6.render(points, sweep)
 
 
-def _run_fig5() -> str:
-    from repro.experiments import fig5
+def _run_fig7(args: argparse.Namespace) -> str:
+    from repro.experiments import fig7
 
-    return fig5.render()
+    n = 20 if args.quick else 100
+    grid = fig7.run(sets_per_point=n, jobs=args.jobs, population=args.population)
+    return fig7.render(grid)
 
 
-def _make_fig6(
-    quick: bool, jobs: int = 1, population: bool = False
-) -> Callable[[], str]:
-    def run() -> str:
-        from repro.experiments import fig6
+def _run_multiproc(args: argparse.Namespace) -> str:
+    from repro.experiments import figM
 
-        n = 60 if quick else 500
-        n_sweep = 30 if quick else 200
-        points = fig6.run(sets_per_point=n, jobs=jobs, population=population)
-        sweep = fig6.run_sweep(
-            sets_per_point=n_sweep, jobs=jobs, population=population
+    if args.quick:
+        cells = figM.run(
+            u_bounds=(0.5, 0.7),
+            core_counts=(2, 4),
+            speedup_caps=(2.0, 3.0),
+            sets_per_point=12,
+            jobs=args.jobs,
+            population=args.population,
         )
-        return fig6.render(points, sweep)
-
-    return run
-
-
-def _make_fig7(
-    quick: bool, jobs: int = 1, population: bool = False
-) -> Callable[[], str]:
-    def run() -> str:
-        from repro.experiments import fig7
-
-        n = 20 if quick else 100
-        grid = fig7.run(sets_per_point=n, jobs=jobs, population=population)
-        return fig7.render(grid)
-
-    return run
-
-
-def _make_multiproc(
-    quick: bool, jobs: int = 1, population: bool = False
-) -> Callable[[], str]:
-    def run() -> str:
-        from repro.experiments import figM
-
-        if quick:
-            cells = figM.run(
-                u_bounds=(0.5, 0.7),
-                core_counts=(2, 4),
-                speedup_caps=(2.0, 3.0),
-                sets_per_point=12,
-                jobs=jobs,
-                population=population,
-            )
-        else:
-            cells = figM.run(jobs=jobs, population=population)
-        return figM.render(cells)
-
-    return run
+    else:
+        cells = figM.run(jobs=args.jobs, population=args.population)
+    return figM.render(cells)
 
 
 def _run_validate() -> str:
@@ -160,20 +139,17 @@ def _run_validate() -> str:
     return "\n".join(out)
 
 
-def _make_resilience(quick: bool, csv_path, jobs: int = 1) -> Callable[[], str]:
-    def run() -> str:
-        from repro.io import write_records_csv
-        from repro.sim.resilience import render, run_suite
+def _run_resilience(args: argparse.Namespace) -> str:
+    from repro.io import write_records_csv
+    from repro.sim.resilience import render, run_suite
 
-        verdicts = run_suite(quick=quick, jobs=jobs)
-        if csv_path:
-            write_records_csv(csv_path, [v.to_record() for v in verdicts])
-        out = render(verdicts)
-        if csv_path:
-            out += f"\nverdicts written to {csv_path}"
-        return out
-
-    return run
+    verdicts = run_suite(quick=args.quick, jobs=args.jobs)
+    if args.csv:
+        write_records_csv(args.csv, [v.to_record() for v in verdicts])
+    out = render(verdicts)
+    if args.csv:
+        out += f"\nverdicts written to {args.csv}"
+    return out
 
 
 def _run_analyze(path: str, speedup, budget) -> str:
@@ -216,7 +192,7 @@ def _run_analyze(path: str, speedup, budget) -> str:
     return "\n".join(out)
 
 
-def _run_batch(args, parser) -> int:
+def _batch_command(args, parser) -> int:
     """Analyse every task-set JSON in a directory through the pipeline.
 
     Prints the report table and returns the process exit code: 0 on a
@@ -373,7 +349,7 @@ def _run_batch(args, parser) -> int:
     return 0
 
 
-def _run_chaos(args) -> int:
+def _chaos_command(args) -> int:
     """Run the seeded fault-injection harness; non-zero on any failure."""
     import tempfile
     from pathlib import Path
@@ -400,212 +376,269 @@ def _run_chaos(args) -> int:
     return 0 if result.ok else 1
 
 
-def main(argv=None) -> int:
-    """CLI dispatcher; returns a process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="repro-mc",
-        description="Reproduce the tables and figures of 'Run and Be Safe' (DATE 2015).",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=[
-            "table1", "fig1", "fig3", "fig4", "fig5", "fig6", "fig7",
-            "multiproc", "validate", "resilience", "all", "analyze",
-            "batch", "serve", "chaos", "lint",
-        ],
-        help="which artefact to regenerate (or 'analyze' a task-set file, "
-        "'batch'-analyse a directory of them, 'serve' the analysis over "
-        "HTTP, run the 'chaos' fault-injection harness, or 'lint' the "
-        "source tree)",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files/directories for 'lint' (default: src)",
-    )
-    parser.add_argument(
+#: The paper artefacts, in ``all`` order: name -> (runner, the shared
+#: flag groups it reads, help line).
+_EXPERIMENTS: Dict[str, Tuple[Callable[[argparse.Namespace], str], Tuple[str, ...], str]] = {
+    "table1": (lambda _: _run_table1(), (), "Table I running example"),
+    "fig1": (_render("fig1"), (), "Figure 1 speedup and HI-mode demand"),
+    "fig3": (_render("fig3"), (), "Figure 3 resetting time"),
+    "fig4": (_render("fig4"), (), "Figure 4 closed-form trade-offs"),
+    "fig5": (_render("fig5"), (), "Figure 5 flight-management contours"),
+    "fig6": (_run_fig6, ("quick", "jobs", "population"), "Figure 6 synthetic sweeps"),
+    "fig7": (_run_fig7, ("quick", "jobs", "population"), "Figure 7 schedulability regions"),
+    "multiproc": (
+        _run_multiproc,
+        ("quick", "jobs", "population"),
+        "Figure M multiprocessor region maps",
+    ),
+    "validate": (lambda _: _run_validate(), (), "simulator-vs-analysis cross-check"),
+    "resilience": (_run_resilience, ("quick", "jobs"), "fault-scenario sweeps"),
+}
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value:g}")
+    return value
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each accepting only the flags it reads."""
+    shared = {
+        group: argparse.ArgumentParser(add_help=False)
+        for group in ("quick", "jobs", "population", "verdict")
+    }
+    shared["quick"].add_argument(
         "--quick",
         action="store_true",
         help="smaller synthetic populations (seconds instead of minutes)",
     )
-    parser.add_argument(
-        "--taskset",
-        help="JSON task-set file for 'analyze' (see repro.io)",
+    shared["jobs"].add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="worker processes (default 1; results are independent of the "
+        "job count)",
     )
-    parser.add_argument(
+    shared["population"].add_argument(
+        "--population",
+        action="store_true",
+        help="group compatible analyses into population-batched kernel "
+        "evaluations (faster on many small task sets; results are "
+        "byte-identical)",
+    )
+    shared["verdict"].add_argument(
         "--speedup",
         type=float,
         default=2.0,
-        help="HI-mode speedup evaluated by 'analyze' (default 2.0)",
+        help="HI-mode speedup to evaluate (default 2.0)",
     )
-    parser.add_argument(
+    shared["verdict"].add_argument(
         "--budget",
         type=float,
         default=None,
-        help="recovery-time budget checked by 'analyze' (same unit as the task set)",
+        help="recovery-time budget to check (same unit as the task sets)",
     )
-    parser.add_argument(
-        "--csv",
-        help="write resilience verdict records to this CSV file",
+
+    parser = argparse.ArgumentParser(
+        prog="repro-mc",
+        description="Reproduce the tables and figures of 'Run and Be Safe' (DATE 2015).",
     )
-    parser.add_argument(
+    commands = parser.add_subparsers(
+        dest="experiment", required=True, metavar="command"
+    )
+
+    def command(
+        name: str, help_text: str, groups: Sequence[str] = ()
+    ) -> argparse.ArgumentParser:
+        return commands.add_parser(
+            name,
+            help=help_text,
+            description=help_text,
+            parents=[shared[group] for group in groups],
+        )
+
+    for name, (_runner, groups, help_text) in _EXPERIMENTS.items():
+        command(name, help_text, groups)
+    csv_help = "write resilience verdict records to this CSV file"
+    commands.choices["resilience"].add_argument("--csv", help=csv_help)
+    command(
+        "all", "every experiment above, in order", ("quick", "jobs", "population")
+    ).add_argument("--csv", help=csv_help)
+
+    analyze = command(
+        "analyze", "dual-mode analysis of one JSON task-set file", ("verdict",)
+    )
+    analyze.add_argument(
+        "--taskset", required=True, help="JSON task-set file (see repro.io)"
+    )
+    analyze.add_argument(
         "--report",
         action="store_true",
         help="emit the full design report (analysis + sensitivity + simulated "
         "worst case) instead of the short summary",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for fig6/fig7/multiproc/resilience/batch "
-        "(default 1; results are independent of the job count)",
+
+    batch = command(
+        "batch",
+        "analyse a directory of task-set files through the pipeline",
+        ("verdict", "jobs", "population"),
     )
-    parser.add_argument(
-        "--tasksets",
-        help="directory of task-set JSON files for 'batch'",
+    batch.add_argument(
+        "--tasksets", required=True, help="directory of task-set JSON files"
     )
-    parser.add_argument(
-        "--checkpoint",
-        help="JSONL checkpoint appended per completed 'batch' item",
+    batch.add_argument(
+        "--checkpoint", help="JSONL checkpoint appended per completed item"
     )
-    parser.add_argument(
+    batch.add_argument(
         "--resume",
         metavar="CKPT",
-        help="resume 'batch' from this JSONL checkpoint (implies --checkpoint)",
+        help="resume from this JSONL checkpoint (implies --checkpoint)",
     )
-    parser.add_argument(
-        "--cache",
-        help="on-disk result-cache directory for 'batch'",
-    )
-    parser.add_argument(
+    batch.add_argument("--cache", help="on-disk result-cache directory")
+    batch.add_argument(
         "--retries",
-        type=int,
+        type=_positive_int,
         default=3,
-        help="attempts per 'batch' item before quarantine (worker crashes, "
-        "pool breaks, watchdog timeouts; default 3)",
+        help="attempts per item before quarantine (worker crashes, pool "
+        "breaks, watchdog timeouts; default 3)",
     )
-    parser.add_argument(
+    batch.add_argument(
         "--timeout",
-        type=float,
+        type=_positive_float,
         default=None,
-        help="per-item wall-clock watchdog in seconds for 'batch' pool "
-        "workers (default: no watchdog)",
+        help="per-item wall-clock watchdog in seconds for pool workers "
+        "(default: no watchdog)",
     )
-    parser.add_argument(
+    batch.add_argument(
         "--quarantine",
         metavar="OUT.jsonl",
-        help="record 'batch' items that exhaust their retries here "
-        "(with full attempt history) instead of aborting",
+        help="record items that exhaust their retries here (with full "
+        "attempt history) instead of aborting",
     )
-    parser.add_argument(
-        "--population",
-        action="store_true",
-        help="group compatible analyses into population-batched kernel "
-        "evaluations for 'batch'/'fig6'/'fig7' (faster on many small "
-        "task sets; results are byte-identical)",
+    batch.add_argument(
+        "--out", help="directory for per-task-set report JSON files"
     )
-    parser.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address for 'serve' (default 127.0.0.1)",
+    batch.add_argument(
+        "--csv", help="write one record per task set to this CSV file"
     )
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=8787,
-        help="TCP port for 'serve' (default 8787)",
-    )
-    parser.add_argument(
-        "--families",
-        metavar="NAME,NAME,...",
-        help="subset of 'chaos' fault families to run (default: all)",
-    )
-    parser.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=42,
-        help="seed of the 'chaos' population and fault placement "
-        "(default 42)",
-    )
-    parser.add_argument(
-        "--out",
-        help="directory for per-task-set 'batch' report JSON files",
-    )
-    parser.add_argument(
+    batch.add_argument(
         "--verbose",
         action="store_true",
-        help="print per-item progress with rate and ETA for 'batch' to stderr",
+        help="print per-item progress with rate and ETA to stderr",
     )
-    parser.add_argument(
+    batch.add_argument(
         "--metrics",
         metavar="OUT.json",
         help="write a unified metrics snapshot (batch stats, cache totals, "
-        "kernel perf counters, per-worker timings) for 'batch'",
+        "kernel perf counters, per-worker timings)",
     )
-    parser.add_argument(
+    batch.add_argument(
         "--trace",
         metavar="OUT.jsonl",
-        help="enable span tracing for 'batch' and write the spans as JSONL",
+        help="enable span tracing and write the spans as JSONL",
     )
-    parser.add_argument(
+
+    serve = command("serve", "serve the analysis over HTTP", ("jobs",))
+    serve.add_argument(
+        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
+    )
+    serve.add_argument(
+        "--port", type=int, default=8787, help="TCP port (default 8787)"
+    )
+    serve.add_argument("--cache", help="on-disk result-cache directory")
+    serve.add_argument(
+        "--quarantine",
+        metavar="OUT.jsonl",
+        help="record items that exhaust their retries here",
+    )
+
+    chaos = command(
+        "chaos", "run the seeded fault-injection harness", ("quick", "jobs")
+    )
+    chaos.add_argument(
+        "--families",
+        metavar="NAME,NAME,...",
+        help="subset of fault families to run (default: all)",
+    )
+    chaos.add_argument(
+        "--chaos-seed",
+        type=int,
+        default=42,
+        help="seed of the population and fault placement (default 42)",
+    )
+
+    lint = command("lint", "lint the source tree with repro-lint", ("jobs",))
+    lint.add_argument(
+        "paths", nargs="*", help="files/directories to lint (default: src)"
+    )
+    lint.add_argument(
         "--format",
         choices=["text", "json", "sarif"],
         default="text",
-        dest="lint_format",
-        help="'lint' report format (default text)",
+        help="report format (default text)",
     )
-    parser.add_argument(
+    lint.add_argument(
         "--baseline",
         metavar="FILE.json",
-        help="'lint' baseline file (default lint-baseline.json)",
+        help="baseline file (default lint-baseline.json)",
     )
-    parser.add_argument(
+    lint.add_argument(
         "--write-baseline",
         action="store_true",
-        help="record current 'lint' findings as the new baseline and exit 0 "
+        help="record current findings as the new baseline and exit 0 "
         "(refused while RL006 contract-drift findings are present)",
     )
-    parser.add_argument(
+    lint.add_argument(
         "--rules",
         metavar="RL001,RL002,...",
         help="comma-separated subset of lint rules to run (default: all)",
     )
-    parser.add_argument(
+    lint.add_argument(
         "--lint-cache",
         metavar="FILE.json",
-        help="incremental 'lint' cache file: warm runs re-analyze only "
-        "changed files plus their reverse-dependency cone",
+        help="incremental cache file: warm runs re-analyze only changed "
+        "files plus their reverse-dependency cone",
     )
-    parser.add_argument(
+    lint.add_argument(
         "--changed-only",
         action="store_true",
-        help="'lint' reports findings only for files re-analyzed this run "
+        help="report findings only for files re-analyzed this run "
         "(requires --lint-cache to be meaningful)",
     )
-    parser.add_argument(
+    lint.add_argument(
         "--contracts",
         metavar="FILE.json",
-        help="'lint' serialized-surface contract file consumed by RL006 "
+        help="serialized-surface contract file consumed by RL006 "
         "(default lint-contracts.json when present)",
     )
-    parser.add_argument(
+    lint.add_argument(
         "--write-contracts",
         action="store_true",
-        help="regenerate the 'lint' contract file from the current tree "
-        "and exit 0",
+        help="regenerate the contract file from the current tree and exit 0",
     )
-    args = parser.parse_args(argv)
+    return parser
 
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """CLI dispatcher; returns a process exit code."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
 
     if args.experiment == "lint":
         from repro.lint.cli import run_lint_command
 
         return run_lint_command(
             args.paths,
-            output_format=args.lint_format,
+            output_format=args.format,
             baseline_path=args.baseline,
             update_baseline=args.write_baseline,
             rules=args.rules,
@@ -616,17 +649,8 @@ def main(argv=None) -> int:
             jobs=args.jobs,
         )
 
-    if args.paths:
-        parser.error("positional paths are only accepted by 'lint'")
-
     if args.experiment == "batch":
-        if not args.tasksets:
-            parser.error("'batch' requires --tasksets <directory>")
-        if args.retries < 1:
-            parser.error("--retries must be >= 1")
-        if args.timeout is not None and args.timeout <= 0:
-            parser.error("--timeout must be positive")
-        return _run_batch(args, parser)
+        return _batch_command(args, parser)
 
     if args.experiment == "serve":
         from repro.service import serve
@@ -641,11 +665,9 @@ def main(argv=None) -> int:
         return 0
 
     if args.experiment == "chaos":
-        return _run_chaos(args)
+        return _chaos_command(args)
 
     if args.experiment == "analyze":
-        if not args.taskset:
-            parser.error("'analyze' requires --taskset <file.json>")
         if args.report:
             from repro.io import load_taskset
             from repro.report import build_report
@@ -661,23 +683,11 @@ def main(argv=None) -> int:
             print(_run_analyze(args.taskset, args.speedup, args.budget))
         return 0
 
-    runners: Dict[str, Callable[[], str]] = {
-        "table1": _run_table1,
-        "fig1": _run_fig1,
-        "fig3": _run_fig3,
-        "fig4": _run_fig4,
-        "fig5": _run_fig5,
-        "fig6": _make_fig6(args.quick, args.jobs, args.population),
-        "fig7": _make_fig7(args.quick, args.jobs, args.population),
-        "multiproc": _make_multiproc(args.quick, args.jobs, args.population),
-        "validate": _run_validate,
-        "resilience": _make_resilience(args.quick, args.csv, args.jobs),
-    }
-    names = list(runners) if args.experiment == "all" else [args.experiment]
+    names = list(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         start = time.perf_counter()
         print(f"=== {name} " + "=" * max(0, 66 - len(name)))
-        print(runners[name]())
+        print(_EXPERIMENTS[name][0](args))
         print(f"--- {name} done in {time.perf_counter() - start:.1f}s\n")
     return 0
 

@@ -127,14 +127,12 @@ def run(
     seed: int = 2015,
     config: GeneratorConfig = GeneratorConfig(),
     jobs: int = 1,
-    runner: Optional[api.BatchRunner] = None,
     population: bool = False,
 ) -> List[Fig6Point]:
     """Panels (a) and (c): distributions at each utilization point.
 
     ``jobs`` fans the per-set analyses over worker processes (results are
-    identical to the serial run); pass a configured ``runner`` instead
-    for caching or checkpoint/resume.  ``population=True`` groups the
+    identical to the serial run).  ``population=True`` groups the
     per-set analyses into population-batched kernel evaluations — much
     faster in this small-task-set regime, with byte-identical samples.
     """
@@ -150,7 +148,7 @@ def run(
             owners.append(point)
             requests.append(_request(ts, y, s_for_reset))
     reports = api.analyze_many(
-        requests, jobs=jobs, runner=runner, population=population
+        requests, jobs=jobs, population=population
     )
     for point, report in zip(owners, reports):
         point.samples.append(_sample(report))
@@ -165,7 +163,6 @@ def run_sweep(
     seed: int = 2015,
     config: GeneratorConfig = GeneratorConfig(),
     jobs: int = 1,
-    runner: Optional[api.BatchRunner] = None,
     population: bool = False,
 ) -> Dict[Tuple[float, float], List[Fig6Point]]:
     """Panels (b) and (d): medians across ``(s, y)`` combinations.
@@ -205,7 +202,7 @@ def run_sweep(
                     requests.append(_request(ts, y, s, x=x))
             out[(s, y)] = series
     reports = api.analyze_many(
-        requests, jobs=jobs, runner=runner, population=population
+        requests, jobs=jobs, population=population
     )
     for point, report in zip(owners, reports):
         point.samples.append(_sample(report))

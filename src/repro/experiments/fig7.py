@@ -100,7 +100,6 @@ def run(
     config: GeneratorConfig = FIG7_CONFIG,
     jitter: float = 0.025,
     jobs: int = 1,
-    runner: Optional[api.BatchRunner] = None,
     population: bool = False,
 ) -> Fig7Grid:
     """Sweep the grid; ``reset_budget`` is in ms (5 s = 5000 ms).
@@ -132,7 +131,7 @@ def run(
                     ok_1 += 1
             without[i, j] = ok_1 / sets_per_point
     reports = api.analyze_many(
-        requests, jobs=jobs, runner=runner, population=population
+        requests, jobs=jobs, population=population
     )
     accepted = np.zeros_like(with_speedup)
     for (i, j), report in zip(cells, reports):

@@ -133,7 +133,6 @@ def run(
     seed: int = 2015,
     config: GeneratorConfig = GeneratorConfig(),
     jobs: int = 1,
-    runner: Optional[api.BatchRunner] = None,
     population: bool = False,
 ) -> List[FigMCell]:
     """Evaluate the full region grid.
@@ -174,7 +173,7 @@ def run(
                         )
                     )
     reports = api.analyze_many(
-        requests, jobs=jobs, runner=runner, population=population
+        requests, jobs=jobs, population=population
     )
     for cell, report in zip(owners, reports):
         cell.samples.append(_sample(report))

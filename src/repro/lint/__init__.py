@@ -10,7 +10,7 @@ The analysis core makes promises the test suite can only sample:
   entropy (wall clock, unseeded RNG, process identity, set iteration
   order) to stay out of fingerprint-, cache- and counter-affecting
   code (RL003, RL009);
-* functions shipped to the :class:`~repro.pipeline.runner.BatchRunner`
+* functions shipped to the :class:`~repro.pipeline.core.WorkQueueCore`
   process pool must be picklable and must not communicate through
   module-level globals (RL004);
 * the layering that makes all of this auditable — ``repro.obs``

@@ -27,7 +27,7 @@ Three more checks close the loop across functions and layers:
   orphan (counting without a result);
 * a function that merges stats (``x.stats = a + b.stats`` — the
   coordinator's ``_settle``) must merge on *every* path exactly once,
-  or partial-failure accounting drops a runner's counters;
+  or partial-failure accounting drops a submission's counters;
 * ``BatchStats`` itself must keep ``__add__`` and ``settled()``
   covering all five dispositions, or the merged invariant silently
   weakens.
@@ -65,8 +65,8 @@ DISPOSITIONS: FrozenSet[str] = frozenset(
 #: fan-out remainder and rides along with a ``computed`` increment.
 UNIT_DISPOSITIONS: FrozenSet[str] = DISPOSITIONS - {"deduplicated"}
 
-#: ``BatchRunner.run`` — the densest settle function in the pipeline —
-#: enumerates ~12.5k acyclic paths; the cap leaves headroom while still
+#: ``runner.execute`` — the densest settle function in the pipeline —
+#: enumerates ~8.6k acyclic paths; the cap leaves headroom while still
 #: bounding pathological fixture inputs.
 _PATH_LIMIT = 1 << 15
 
@@ -369,7 +369,7 @@ def _balance_findings(
                     fn,
                     f"a path through {fn.name} skips the stats merge: "
                     f"partial-failure accounting would drop the "
-                    f"runner's disposition counters",
+                    f"submission's disposition counters",
                 )
             elif len(merges) > 1:
                 yield from once(

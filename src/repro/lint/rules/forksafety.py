@@ -1,6 +1,6 @@
 """RL004: fork-safety of work shipped to the process pool.
 
-The :class:`~repro.pipeline.runner.BatchRunner` promises that ``jobs=N``
+The :class:`~repro.pipeline.core.WorkQueueCore` promises that ``jobs=N``
 equals ``jobs=1`` byte for byte.  That only holds when every callable
 submitted to its ``ProcessPoolExecutor``
 

@@ -10,15 +10,15 @@ into a population-scale engine:
 * :mod:`repro.pipeline.cache` — content-addressed
   :class:`ResultCache` keyed by a canonical task-set hash, with
   checksummed disk entries (corruption degrades to a miss).
-* :mod:`repro.pipeline.runner` — :class:`BatchRunner`: process-pool
+* :mod:`repro.pipeline.core` — :class:`WorkQueueCore`: the one
+  executor.  Every figure sweep, ``repro-mc batch`` run and service
+  request goes through it — submission queue, persistent supervised
+  pool, job-level dedup/coalescing and a global exactly-once stats
+  tally.
+* :mod:`repro.pipeline.runner` — the core's execution path: process-pool
   fan-out with chunking, per-item error capture, progress callbacks,
   durable JSONL checkpoint/resume, retry/watchdog/pool-rebuild fault
   handling and poison-item quarantine.
-* :mod:`repro.pipeline.core` — :class:`WorkQueueCore`: the long-lived
-  work-queue over the runner machinery that the CLI batch path and the
-  analysis service (:mod:`repro.service`) share — submission queue,
-  persistent supervised pool, job-level dedup/coalescing and a global
-  exactly-once stats tally.
 * :mod:`repro.pipeline.fault_tolerance` — the fault-handling
   primitives: :class:`RetryPolicy`, CRC-wrapped durable lines, the
   injectable :class:`CheckpointIO` seam, :class:`Quarantine`,
@@ -62,11 +62,9 @@ from repro.pipeline.request import (
     evaluate_request,
 )
 from repro.pipeline.runner import (
-    BatchRunner,
     BatchStats,
     PersistentPool,
     evaluate_captured,
-    run_batch,
 )
 
 __all__ = [
@@ -74,7 +72,6 @@ __all__ = [
     "AnalysisReport",
     "AnalysisRequest",
     "BatchAborted",
-    "BatchRunner",
     "BatchStats",
     "CheckpointIO",
     "FaultStats",
@@ -93,6 +90,5 @@ __all__ = [
     "job_fingerprint",
     "load_quarantine",
     "request_fingerprint",
-    "run_batch",
     "taskset_fingerprint",
 ]

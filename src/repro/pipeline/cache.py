@@ -9,7 +9,7 @@ produce the same :class:`~repro.pipeline.request.AnalysisReport` (the
 analysis is deterministic), so the key doubles as
 
 * the cache address (in-memory dictionary and optional on-disk store);
-* the checkpoint identity used by :class:`~repro.pipeline.runner.BatchRunner`
+* the checkpoint identity used by :class:`~repro.pipeline.core.WorkQueueCore`
   to resume an interrupted sweep.
 
 The on-disk layout is one JSON document per key under

@@ -1,10 +1,11 @@
 """Seeded chaos harness for the batch pipeline's fault tolerance.
 
 The fault-handling machinery in :mod:`repro.pipeline.fault_tolerance`
-and :class:`~repro.pipeline.runner.BatchRunner` is only trustworthy if
-it is *exercised*: every recovery path here is driven by deterministic,
-seeded fault injection against a real population sweep, and two
-properties are asserted after every disturbance:
+and the :class:`~repro.pipeline.core.WorkQueueCore` execution path is
+only trustworthy if it is *exercised*: every recovery path here is
+driven by deterministic, seeded fault injection against a real
+population sweep, and two properties are asserted after every
+disturbance:
 
 1. **Exactly-once accounting** — ``computed + cache_hits + resumed +
    deduplicated + quarantined == total``: no item is lost, none settles
@@ -59,6 +60,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 import numpy as np
 
 from repro.pipeline.cache import ResultCache
+from repro.pipeline.core import WorkQueueCore
 from repro.pipeline.fault_tolerance import (
     CheckpointIO,
     InjectionSpec,
@@ -69,7 +71,7 @@ from repro.pipeline.fault_tolerance import (
 )
 from repro.pipeline.payload import ReportPayload
 from repro.pipeline.request import AnalysisRequest
-from repro.pipeline.runner import BatchRunner
+from repro.pipeline.runner import evaluate_captured
 
 #: Population size of the full chaos sweep (and its ``--quick`` cut).
 FULL_SETS = 200
@@ -156,8 +158,8 @@ class _Checker:
         if not condition:
             self.errors.append(message)
 
-    def check_invariant(self, runner: BatchRunner) -> None:
-        stats = runner.stats
+    def check_invariant(self, core: WorkQueueCore) -> None:
+        stats = core.stats
         self.check(
             stats.settled() == stats.total,
             f"exactly-once invariant violated: computed={stats.computed} "
@@ -239,21 +241,28 @@ def _run(
     resume: bool = False,
     chunk_size: Optional[int] = None,
     quarantine: bool = False,
-) -> Tuple[BatchRunner, List[ReportPayload]]:
-    runner = BatchRunner(
+) -> Tuple[WorkQueueCore, List[ReportPayload]]:
+    """One run on a fresh core; returns the closed core (its stats and
+    faults are this run's) and the report payloads."""
+    core = WorkQueueCore(
         jobs=jobs,
         cache=cache,
-        checkpoint=workdir / "checkpoint.jsonl",
-        resume=resume,
         chunk_size=chunk_size,
         retry=policy,
         quarantine=(workdir / "quarantine.jsonl") if quarantine else None,
-        io=io if io is not None else CheckpointIO(),
+        io=io,
         injection=injection,
-        install_signal_handlers=False,
     )
-    reports = runner.run(requests)
-    return runner, [report.to_dict() for report in reports]
+    try:
+        reports = core.run(
+            requests,
+            checkpoint=workdir / "checkpoint.jsonl",
+            resume=resume,
+            install_signal_handlers=False,
+        )
+    finally:
+        core.close()
+    return core, [report.to_dict() for report in reports]
 
 
 def _armed(workdir: Path) -> Path:
@@ -275,20 +284,20 @@ def _family_worker_kill(
         requests[i].key for i in rng.choice(len(requests), size=3, replace=False)
     )
     spec = InjectionSpec(armed_dir=str(_armed(workdir)), kill_keys=victims)
-    runner, observed = _run(
+    core, observed = _run(
         requests, workdir, jobs, _policy(seed, timeout=30.0), injection=spec
     )
-    checker.check_invariant(runner)
+    checker.check_invariant(core)
     checker.check_identical(baseline, observed)
     checker.check(
-        runner.faults.pool_rebuilds >= 1,
+        core.faults.pool_rebuilds >= 1,
         f"worker kills never broke the pool (rebuilds="
-        f"{runner.faults.pool_rebuilds})",
+        f"{core.faults.pool_rebuilds})",
     )
-    checker.check(runner.stats.quarantined == 0, "kill victims were quarantined")
+    checker.check(core.stats.quarantined == 0, "kill victims were quarantined")
     return (
-        runner.stats.to_dict(),
-        runner.faults.to_dict(),
+        core.stats.to_dict(),
+        core.faults.to_dict(),
         [f"{len(victims)} one-shot worker kills injected"],
     )
 
@@ -306,7 +315,7 @@ def _family_worker_hang(
     spec = InjectionSpec(
         armed_dir=str(_armed(workdir)), hang_keys=(victim,), hang_seconds=120.0
     )
-    runner, observed = _run(
+    core, observed = _run(
         requests,
         workdir,
         jobs,
@@ -314,17 +323,17 @@ def _family_worker_hang(
         injection=spec,
         chunk_size=4,
     )
-    checker.check_invariant(runner)
+    checker.check_invariant(core)
     checker.check_identical(baseline, observed)
     checker.check(
-        runner.faults.timeouts >= 1,
+        core.faults.timeouts >= 1,
         f"watchdog never fired on the hung worker (timeouts="
-        f"{runner.faults.timeouts})",
+        f"{core.faults.timeouts})",
     )
-    checker.check(runner.stats.quarantined == 0, "hang victim was quarantined")
+    checker.check(core.stats.quarantined == 0, "hang victim was quarantined")
     return (
-        runner.stats.to_dict(),
-        runner.faults.to_dict(),
+        core.stats.to_dict(),
+        core.faults.to_dict(),
         ["1 worker hang injected (120s stall vs 1s/item watchdog)"],
     )
 
@@ -338,19 +347,19 @@ def _family_fork_crash(
     checker: _Checker,
 ) -> Tuple[Dict[str, int], Dict[str, int], List[str]]:
     spec = InjectionSpec(armed_dir=str(_armed(workdir)), fork_crashes=max(1, jobs - 1))
-    runner, observed = _run(
+    core, observed = _run(
         requests, workdir, jobs, _policy(seed, timeout=30.0), injection=spec
     )
-    checker.check_invariant(runner)
+    checker.check_invariant(core)
     checker.check_identical(baseline, observed)
     checker.check(
-        runner.faults.pool_rebuilds >= 1,
+        core.faults.pool_rebuilds >= 1,
         f"fork crashes never broke the pool (rebuilds="
-        f"{runner.faults.pool_rebuilds})",
+        f"{core.faults.pool_rebuilds})",
     )
     return (
-        runner.stats.to_dict(),
-        runner.faults.to_dict(),
+        core.stats.to_dict(),
+        core.faults.to_dict(),
         [f"{spec.fork_crashes} fork-time worker crashes injected"],
     )
 
@@ -366,7 +375,7 @@ def _family_poison(
     rng = np.random.default_rng(seed + 3)
     poison = requests[int(rng.integers(len(requests)))].key
     spec = InjectionSpec(armed_dir=str(_armed(workdir)), poison_keys=(poison,))
-    runner, observed = _run(
+    core, observed = _run(
         requests,
         workdir,
         jobs,
@@ -374,12 +383,12 @@ def _family_poison(
         injection=spec,
         quarantine=True,
     )
-    checker.check_invariant(runner)
+    checker.check_invariant(core)
     checker.check_identical(baseline, observed, exclude=(poison,))
     checker.check(
-        runner.stats.quarantined == 1,
+        core.stats.quarantined == 1,
         f"poison item was not quarantined (quarantined="
-        f"{runner.stats.quarantined})",
+        f"{core.stats.quarantined})",
     )
     entries = load_quarantine(workdir / "quarantine.jsonl")
     checker.check(
@@ -398,8 +407,8 @@ def _family_poison(
         "poison item's report does not carry a quarantine failure record",
     )
     return (
-        runner.stats.to_dict(),
-        runner.faults.to_dict(),
+        core.stats.to_dict(),
+        core.faults.to_dict(),
         ["1 every-attempt worker killer injected (quarantine expected)"],
     )
 
@@ -494,13 +503,13 @@ def _family_disk_full(
     transient_dir = workdir / "transient"
     transient_dir.mkdir(parents=True, exist_ok=True)
     transient_io = FlakyIO(fail_first=2)
-    runner, observed = _run(
+    core, observed = _run(
         requests, transient_dir, jobs, _policy(seed, timeout=30.0), io=transient_io
     )
-    checker.check_invariant(runner)
+    checker.check_invariant(core)
     checker.check_identical(baseline, observed)
     checker.check(
-        runner.faults.checkpoint_io_errors >= 1,
+        core.faults.checkpoint_io_errors >= 1,
         "transient ENOSPC schedule never fired",
     )
     replay, _payloads = _run(
@@ -517,19 +526,19 @@ def _family_disk_full(
     persistent_dir = workdir / "persistent"
     persistent_dir.mkdir(parents=True, exist_ok=True)
     persistent_io = FlakyIO(fail_after=10)
-    full_runner, full_observed = _run(
+    full_core, full_observed = _run(
         requests, persistent_dir, jobs, _policy(seed, timeout=30.0), io=persistent_io
     )
-    checker.check_invariant(full_runner)
+    checker.check_invariant(full_core)
     checker.check_identical(baseline, full_observed)
     checker.check(
-        full_runner.faults.checkpoint_io_errors >= 3,
+        full_core.faults.checkpoint_io_errors >= 3,
         f"persistent ENOSPC never exhausted the retry budget "
-        f"(io_errors={full_runner.faults.checkpoint_io_errors})",
+        f"(io_errors={full_core.faults.checkpoint_io_errors})",
     )
-    stats = full_runner.stats.to_dict()
-    faults = full_runner.faults.to_dict()
-    faults["checkpoint_io_errors"] += runner.faults.checkpoint_io_errors
+    stats = full_core.stats.to_dict()
+    faults = full_core.faults.to_dict()
+    faults["checkpoint_io_errors"] += core.faults.checkpoint_io_errors
     return (
         stats,
         faults,
@@ -576,8 +585,7 @@ def run_chaos(
         )
     population_size = sets if sets is not None else (QUICK_SETS if quick else FULL_SETS)
     requests = _build_population(population_size, seed)
-    baseline_runner = BatchRunner(jobs=1, install_signal_handlers=False)
-    baseline = [report.to_dict() for report in baseline_runner.run(requests)]
+    baseline = [evaluate_captured(request).to_dict() for request in requests]
 
     outcomes: List[FamilyOutcome] = []
     for name in chosen:

@@ -1,23 +1,25 @@
-"""The shared work-queue core: one analysis engine, many clients.
+"""The work-queue core: the one executor every client shares.
 
-:class:`WorkQueueCore` is the long-lived heart that both front-ends of
-the pipeline share.  It owns every cross-run resource — the
-content-addressed :class:`~repro.pipeline.cache.ResultCache`, a
+:class:`WorkQueueCore` is the long-lived heart of the pipeline.  It owns
+every cross-run resource — the content-addressed
+:class:`~repro.pipeline.cache.ResultCache`, a
 :class:`~repro.pipeline.runner.PersistentPool` of worker processes, the
-runner-wide :class:`~repro.pipeline.fault_tolerance.RetryPolicy`, the
+core-wide :class:`~repro.pipeline.fault_tolerance.RetryPolicy`, the
 quarantine sink and the :class:`~repro.obs.metrics.MetricsRegistry` —
-and executes submissions through the exact
-:class:`~repro.pipeline.runner.BatchRunner` machinery the CLI has
-always used (chunked fan-out, retry/watchdog/pool-rebuild fault
-handling, durable checkpoints), which is why the ``repro-mc batch``
-output is byte-identical before and after the refactor.
+and settles every submission through one execution path
+(:func:`repro.pipeline.runner.execute`: chunked fan-out,
+retry/watchdog/pool-rebuild fault handling, durable checkpoints).  The
+figure sweeps and :func:`repro.api.analyze_many` use a one-shot core,
+``repro-mc batch`` is one synchronous client and the HTTP service the
+asynchronous one.
 
 Two client shapes:
 
-* **Synchronous** (the CLI): :meth:`WorkQueueCore.run` executes the
-  submission in the calling thread — signal handlers stay installable
-  (main thread only), ``BatchAborted`` propagates for the resume-hint
-  path, and per-run checkpoint/resume arguments apply directly.
+* **Synchronous** (the CLI, ``analyze_many``): :meth:`WorkQueueCore.run`
+  executes the submission in the calling thread — signal handlers stay
+  installable (main thread only), ``BatchAborted`` propagates for the
+  resume-hint path, and per-run checkpoint/resume arguments apply
+  directly.
 * **Asynchronous** (the HTTP service): :meth:`WorkQueueCore.submit`
   enqueues the submission and returns a :class:`JobHandle`
   immediately; a single dispatcher thread drains the queue FIFO, so
@@ -51,7 +53,7 @@ import json
 import queue
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -66,10 +68,10 @@ from repro.pipeline.fault_tolerance import (
 from repro.pipeline.payload import ReportPayload
 from repro.pipeline.request import AnalysisReport, AnalysisRequest
 from repro.pipeline.runner import (
-    BatchRunner,
     BatchStats,
     PersistentPool,
     ProgressCallback,
+    execute,
 )
 
 PathLike = Union[str, Path]
@@ -83,7 +85,7 @@ JOB_STATES = ("queued", "running", "done", "error")
 
 #: Completed jobs kept for duplicate-submission dedup and result
 #: retrieval before eviction (oldest-first).
-DEFAULT_COMPLETED_CAPACITY = 1024
+COMPLETED_CAPACITY = 1024
 
 
 def job_fingerprint(requests: Sequence[AnalysisRequest]) -> str:
@@ -170,29 +172,71 @@ class JobHandle:
 
 @dataclass
 class _Submission:
-    """One queued unit of work: a handle plus its per-run options."""
+    """One unit of work: a handle, its per-run options and its tallies."""
 
     handle: JobHandle
     requests: List[AnalysisRequest]
     checkpoint: Optional[PathLike]
     resume: bool
     progress: Optional[ProgressCallback]
+    stats: BatchStats = field(default_factory=BatchStats)
+    faults: FaultStats = field(default_factory=FaultStats)
 
 
 class WorkQueueCore:
-    """Long-lived submission queue over the supervised batch machinery.
+    """The executor: a long-lived, supervised submission queue.
 
-    Parameters mirror :class:`~repro.pipeline.runner.BatchRunner` where
-    they name shared resources (``jobs``, ``cache``, ``retry``,
-    ``quarantine``, ``metrics``, ``chunk_size``, ``io``, ``injection``,
-    ``population``); per-run options (checkpoint, resume, progress)
-    travel with each submission instead.
+    The constructor holds every shared-resource option; per-run options
+    (``checkpoint``, ``resume``, ``progress`` and, for :meth:`run`,
+    ``install_signal_handlers``) travel with each submission.
+
+    Parameters
+    ----------
+    jobs:
+        Worker processes; ``1`` (default) runs inline with no pool —
+        the two paths produce identical reports.
+    cache:
+        Optional :class:`ResultCache`; hits skip evaluation entirely.
+        Corrupt entries degrade to misses; failed writes are retried
+        under ``retry`` and then skipped.
+    retry:
+        Core-wide :class:`~repro.pipeline.fault_tolerance.RetryPolicy`
+        (attempt budget, backoff, per-item watchdog timeout) for
+        infrastructure failures; ``request.retry`` overrides it per
+        item.
+    quarantine:
+        Optional JSONL path: items that exhaust their attempts are
+        recorded there (with full attempt history) and settle as
+        ``stage="quarantine"`` failure reports instead of aborting the
+        batch.  Without a path, quarantining still happens — only the
+        forensic file is skipped.
+    metrics:
+        Optional :class:`~repro.obs.metrics.MetricsRegistry`; every run
+        folds in batch stats, cache totals, kernel perf deltas (summed
+        across workers), per-worker chunk timings and fault counters.
+    chunk_size:
+        Requests per worker chunk (default: balance ~4 chunks per
+        worker, capped at 32).
+    io:
+        Injectable filesystem seam for the durable writes (checkpoint,
+        quarantine); the chaos harness substitutes a failing one.
+    injection:
+        Deterministic worker-fault injection spec (chaos/testing only).
+    population:
+        Evaluate chunks through the grouped population path
+        (:func:`~repro.pipeline.grouping.evaluate_chunk_grouped`): one
+        fused kernel dispatch per analysis stage per chunk instead of
+        per item.  Reports, caching, checkpointing and the exactly-once
+        stats are byte-identical to the per-item path at any ``jobs``
+        count; only the kernel perf counters (``kernel_evals``,
+        ``cells``) group differently, which is why this is opt-in.
 
     The core is thread-safe: ``submit`` may be called from any thread,
     and one dispatcher thread executes submissions FIFO over the shared
     :class:`~repro.pipeline.runner.PersistentPool`.  :meth:`run` is the
-    synchronous client path (the CLI) and serialises against the
-    dispatcher through the same execution lock.
+    synchronous client path and serialises against the dispatcher
+    through the same execution lock.  :meth:`close` releases the pool's
+    worker processes.
     """
 
     def __init__(
@@ -205,15 +249,12 @@ class WorkQueueCore:
         chunk_size: Optional[int] = None,
         io: Optional[CheckpointIO] = None,
         injection: Optional[InjectionSpec] = None,
-        completed_capacity: int = DEFAULT_COMPLETED_CAPACITY,
         population: bool = False,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if completed_capacity < 1:
-            raise ValueError(
-                f"completed_capacity must be >= 1, got {completed_capacity}"
-            )
+        if chunk_size is not None and chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.jobs = jobs
         self.cache = cache
         self.retry = retry if retry is not None else RetryPolicy()
@@ -222,14 +263,10 @@ class WorkQueueCore:
         self.chunk_size = chunk_size
         self.io = io if io is not None else CheckpointIO()
         self.injection = injection
-        #: Evaluate chunks through the grouped population path (see
-        #: :class:`~repro.pipeline.runner.BatchRunner`); byte-identical
-        #: reports, fused kernel dispatch.
         self.population = population
-        #: Shared supervised pool; ``None`` for the inline (jobs=1) path.
-        self.pool: Optional[PersistentPool] = (
-            PersistentPool(jobs, injection) if jobs > 1 else None
-        )
+        #: Shared supervised pool; its executor is built on first use,
+        #: so an inline (jobs=1) core never forks.
+        self.pool = PersistentPool(jobs, injection)
         #: Executed submissions (coalesced duplicates excluded).
         self.jobs_executed = 0
         #: Submissions answered by an existing queued/running/completed job.
@@ -240,7 +277,6 @@ class WorkQueueCore:
         self._exec_lock = threading.Lock()
         self._active: Dict[str, JobHandle] = {}
         self._completed: "OrderedDict[str, JobHandle]" = OrderedDict()
-        self._completed_capacity = completed_capacity
         self._queue: "queue.SimpleQueue[Optional[_Submission]]" = queue.SimpleQueue()
         self._dispatcher: Optional[threading.Thread] = None
         self._closed = False
@@ -278,7 +314,7 @@ class WorkQueueCore:
         dispatcher = self._dispatcher
         if dispatcher is not None and not dispatcher.is_alive():
             return False
-        return self.pool is None or self.pool.alive()
+        return self.pool.alive()
 
     # ------------------------------------------------------------------
     # Submission paths
@@ -301,22 +337,12 @@ class WorkQueueCore:
         call actually creates the job.
         """
         items = list(requests)
-        job_id = job_fingerprint(items)
-        with self._registry_lock:
-            if self._closed:
-                raise RuntimeError("work-queue core is closed")
-            existing = self._lookup_locked(job_id)
-            if existing is not None:
-                existing.coalesced += 1
-                self.jobs_coalesced += 1
-                return existing, True
-            handle = JobHandle(job_id, total=len(items))
-            self._active[job_id] = handle
-            self._ensure_dispatcher_locked()
-        self._queue.put(
-            _Submission(handle, items, checkpoint, resume, progress)
-        )
-        return handle, False
+        handle, coalesced = self._register(items, dispatch=True)
+        if not coalesced:
+            self._queue.put(
+                _Submission(handle, items, checkpoint, resume, progress)
+            )
+        return handle, coalesced
 
     def run(
         self,
@@ -337,22 +363,12 @@ class WorkQueueCore:
         job is awaited, a completed one answers from the registry).
         """
         items = list(requests)
-        job_id = job_fingerprint(items)
-        with self._registry_lock:
-            if self._closed:
-                raise RuntimeError("work-queue core is closed")
-            existing = self._lookup_locked(job_id)
-            if existing is not None:
-                existing.coalesced += 1
-                self.jobs_coalesced += 1
-            else:
-                handle = JobHandle(job_id, total=len(items))
-                self._active[job_id] = handle
-        if existing is not None:
-            existing.wait()
-            return existing.result()
-        submission = _Submission(handle, items, checkpoint, resume, progress)
-        self._execute(submission, install_signal_handlers=install_signal_handlers)
+        handle, coalesced = self._register(items, dispatch=False)
+        if coalesced:
+            handle.wait()
+        else:
+            submission = _Submission(handle, items, checkpoint, resume, progress)
+            self._execute(submission, install_signal_handlers=install_signal_handlers)
         return handle.result()
 
     # ------------------------------------------------------------------
@@ -379,6 +395,30 @@ class WorkQueueCore:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _register(
+        self, items: List[AnalysisRequest], *, dispatch: bool
+    ) -> Tuple[JobHandle, bool]:
+        """The job for ``items``: ``(existing, True)`` or ``(new, False)``.
+
+        A new job joins the active set; with ``dispatch`` the dispatcher
+        thread is started under the same lock, so a concurrent
+        :meth:`close` either rejects the job or drains it.
+        """
+        job_id = job_fingerprint(items)
+        with self._registry_lock:
+            if self._closed:
+                raise RuntimeError("work-queue core is closed")
+            existing = self._lookup_locked(job_id)
+            if existing is not None:
+                existing.coalesced += 1
+                self.jobs_coalesced += 1
+                return existing, True
+            handle = JobHandle(job_id, total=len(items))
+            self._active[job_id] = handle
+            if dispatch:
+                self._ensure_dispatcher_locked()
+        return handle, False
+
     def _lookup_locked(self, job_id: str) -> Optional[JobHandle]:
         """Find an existing job by id; refreshes completed-registry LRU."""
         handle = self._active.get(job_id)
@@ -421,46 +461,30 @@ class WorkQueueCore:
             if client_progress is not None:
                 client_progress(done, total)
 
-        runner = BatchRunner(
-            jobs=self.jobs,
-            cache=self.cache,
-            checkpoint=submission.checkpoint,
-            resume=submission.resume,
-            chunk_size=self.chunk_size,
-            progress=progress,
-            metrics=self.metrics,
-            retry=self.retry,
-            quarantine=self.quarantine,
-            io=self.io,
-            injection=self.injection,
-            pool=self.pool,
-            install_signal_handlers=install_signal_handlers,
-            population=self.population,
-        )
         with self._exec_lock:
             handle.state = "running"
             try:
-                reports = runner.run(submission.requests)
+                payloads = execute(
+                    self, submission, progress, install_signal_handlers
+                )
             except BaseException as error:
-                self._settle(handle, None, runner, error)
+                self._settle(submission, None, error)
                 raise
-            self._settle(
-                handle, [report.to_dict() for report in reports], runner, None
-            )
+            self._settle(submission, payloads, None)
 
     def _settle(
         self,
-        handle: JobHandle,
+        submission: _Submission,
         payloads: Optional[List[ReportPayload]],
-        runner: BatchRunner,
         error: Optional[BaseException],
     ) -> None:
+        handle = submission.handle
         with self._registry_lock:
-            self._stats = self._stats + runner.stats
-            for name, value in runner.faults.to_dict().items():
+            self._stats = self._stats + submission.stats
+            for name, value in submission.faults.to_dict().items():
                 setattr(self._faults, name, getattr(self._faults, name) + value)
             self.jobs_executed += 1
-            handle.stats = runner.stats
+            handle.stats = submission.stats
             self._active.pop(handle.job_id, None)
             if error is None:
                 handle._payloads = payloads
@@ -471,7 +495,7 @@ class WorkQueueCore:
                 # than coalesce onto the stale failure.
                 self._completed[handle.job_id] = handle
                 self._completed.move_to_end(handle.job_id)
-                while len(self._completed) > self._completed_capacity:
+                while len(self._completed) > COMPLETED_CAPACITY:
                     self._completed.popitem(last=False)
             else:
                 handle.error = f"{type(error).__name__}: {error}"

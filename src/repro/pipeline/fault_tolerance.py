@@ -2,7 +2,7 @@
 
 The analysis layer already treats *analysis* failures (budget
 exhaustion, degenerate inputs) as verdicts; this module gives
-:class:`~repro.pipeline.runner.BatchRunner` the same "run and be safe"
+:class:`~repro.pipeline.core.WorkQueueCore` the same "run and be safe"
 discipline for *infrastructure* failures — the machinery faults the
 paper's mode-switch model never had to care about but a
 population-scale sweep meets constantly:
@@ -486,7 +486,7 @@ def chaos_pool_initializer(spec: Optional[InjectionSpec]) -> None:
 class BatchAborted(RuntimeError):
     """A batch run was interrupted by SIGINT/SIGTERM after a clean drain.
 
-    Raised by :meth:`BatchRunner.run` once settled work is flushed
+    Raised by :meth:`WorkQueueCore.run` once settled work is flushed
     (checkpoint committed, metrics folded): the run is *resumable*,
     not crashed.  ``done``/``total`` describe settled progress and
     ``checkpoint`` names the file to pass back via ``--resume``.

@@ -20,7 +20,7 @@ per-item analysis errors capture into the same
 stage labels.  Only execution *grouping* changes — which is why the
 kernel perf counters (``kernel_evals``, ``cells``) differ between
 grouped and ungrouped runs and population mode is opt-in at the
-:class:`~repro.pipeline.runner.BatchRunner` level.
+:class:`~repro.pipeline.core.WorkQueueCore` level.
 
 Requests on the scalar engine (``engine="scalar"``) do not group; they
 fall back to per-item evaluation inside the same chunk, keeping mixed

@@ -18,7 +18,7 @@ recovery budget, closed-form and per-task-tuning extras — and one
 
 :func:`evaluate_request` is the single taskset→verdict function (the API
 shape of Easwaran's demand-based test and the EDF-VD literature) that
-``BatchRunner`` fans out over processes; it is deliberately pure and
+``WorkQueueCore`` fans out over processes; it is deliberately pure and
 deterministic so ``jobs=1`` and ``jobs=N`` produce identical reports and
 results can be cached under the request's content hash.
 """
@@ -141,8 +141,8 @@ class AnalysisRequest:
     retry:
         Optional per-item :class:`~repro.pipeline.fault_tolerance.
         RetryPolicy` override (attempt budget, backoff, per-item
-        timeout) applied by :class:`~repro.pipeline.runner.BatchRunner`
-        instead of the runner-wide policy — e.g. a longer timeout for a
+        timeout) applied by :class:`~repro.pipeline.core.WorkQueueCore`
+        instead of the core-wide policy — e.g. a longer timeout for a
         known-expensive set.  Infrastructure configuration, not analysis
         content: like ``engine`` it is excluded from the request key.
     """
@@ -493,8 +493,8 @@ def _budget_kwargs(request: AnalysisRequest) -> Dict[str, Any]:
 def evaluate_request(request: AnalysisRequest) -> AnalysisReport:
     """Run the full dual-mode analysis for one request (pure function).
 
-    Exceptions propagate to the caller; :class:`~repro.pipeline.runner.
-    BatchRunner` converts them into :class:`AnalysisFailure` records so a
+    Exceptions propagate to the caller; :class:`~repro.pipeline.core.
+    WorkQueueCore` converts them into :class:`AnalysisFailure` records so a
     single degenerate task set never kills a sweep.  The whole evaluation
     runs under a ``pipeline.evaluate`` span, so per-stage spans (tuning,
     speedup, resetting) nest beneath it when tracing is on.

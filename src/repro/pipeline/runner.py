@@ -1,12 +1,14 @@
-"""Batched, parallel, fault-tolerant execution of analysis requests.
+"""The work-queue core's execution path: chunked, supervised, exactly-once.
 
-:class:`BatchRunner` fans a population of
-:class:`~repro.pipeline.request.AnalysisRequest` items over a
-``concurrent.futures.ProcessPoolExecutor`` (or runs them inline for
-``jobs=1``) with
+:class:`~repro.pipeline.core.WorkQueueCore` settles every submission
+through :func:`execute`, which evaluates the
+:class:`~repro.pipeline.request.AnalysisRequest` items inline (one
+worker) or across the core's :class:`PersistentPool` with
 
 * **chunking** — requests ship to workers in chunks so per-task-set IPC
-  overhead amortises over the pseudo-polynomial analysis cost;
+  overhead amortises over the pseudo-polynomial analysis cost; one
+  chunk evaluator (:func:`evaluate_chunk`) serves the inline path and
+  the pool workers alike;
 * **content-addressed caching** — results land in a
   :class:`~repro.pipeline.cache.ResultCache` under the request key, so
   re-running a sweep (or sharing task sets between sweeps) recomputes
@@ -42,8 +44,8 @@
   checkpoint and metrics, and raise :class:`~repro.pipeline.
   fault_tolerance.BatchAborted` carrying the resume path — an
   interrupted sweep is a resumable sweep, not a traceback;
-* **observability** — pass a :class:`~repro.obs.metrics.MetricsRegistry`
-  to collect one unified snapshot of batch statistics, cache hit/miss
+* **observability** — with a :class:`~repro.obs.metrics.MetricsRegistry`
+  on the core, every run folds in batch statistics, cache hit/miss
   totals, kernel perf counters, per-worker chunk timings and the
   fault-handling counters (``faults.*``: retries, timeouts, pool
   rebuilds, corruption detections — all zero on an undisturbed run).
@@ -66,22 +68,22 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Deque,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
     Tuple,
     Type,
     TypeVar,
-    Union,
     cast,
 )
 
 from repro.obs import trace
-from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.cache import ResultCache
 from repro.pipeline.fault_tolerance import (
     BatchAborted,
@@ -110,7 +112,9 @@ from repro.pipeline.request import (
     evaluate_request,
 )
 
-PathLike = Union[str, Path]
+if TYPE_CHECKING:
+    from repro.pipeline.core import WorkQueueCore, _Submission
+
 ProgressCallback = Callable[[int, int], None]
 ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
@@ -177,8 +181,12 @@ def _is_infrastructure_failure(payload: ReportPayload) -> bool:
     return failure is not None and failure["stage"] in INFRASTRUCTURE_STAGES
 
 
-#: One unit of pool work: (slot within the chunk, request key, request).
-_ChunkItem = Tuple[int, str, AnalysisRequest]
+#: One unit of work: (request key, request).
+_ChunkItem = Tuple[str, AnalysisRequest]
+
+#: Items settled together and committed as one durable batch:
+#: (request key, report payload, quarantined).
+_Batch = List[Tuple[str, ReportPayload, bool]]
 
 
 def _kill_executor(executor: ProcessPoolExecutor) -> None:
@@ -204,20 +212,18 @@ def _kill_executor(executor: ProcessPoolExecutor) -> None:
 
 
 class PersistentPool:
-    """A supervised worker pool that outlives a single ``run()`` call.
+    """The core's supervised worker pool, kept warm across submissions.
 
-    :class:`BatchRunner` builds and tears down a fresh
-    ``ProcessPoolExecutor`` per parallel run, which is right for a
-    one-shot CLI sweep but makes a long-lived work-queue core (the
-    analysis service) pay the full fork/spawn cost on every submission.
-    A ``PersistentPool`` owns the executor *across* runs:
+    A long-lived work-queue core (the analysis service) would otherwise
+    pay the full fork/spawn cost on every submission.  The pool owns the
+    ``ProcessPoolExecutor`` *across* runs:
 
-    * :meth:`acquire` lazily creates the pool (and recreates it after a
-      :meth:`discard`);
-    * :meth:`discard` kills a broken or hung pool — the supervised-run
-      machinery calls it exactly where it used to kill its own pool, so
-      fault recovery (rebuild, requeue, quarantine) is unchanged;
-    * :meth:`close` shuts the pool down for good.
+    * :meth:`acquire` lazily creates the executor (and recreates it after
+      a :meth:`discard`) — an inline-only core never forks;
+    * :meth:`discard` kills a broken or hung executor — the supervised
+      run calls it on every pool break, so fault recovery (rebuild,
+      requeue, quarantine) always goes through here;
+    * :meth:`close` shuts the executor down for good.
 
     The pool itself is not thread-safe; the work-queue core serialises
     runs over it (one executing submission at a time — parallelism comes
@@ -231,7 +237,6 @@ class PersistentPool:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.injection = injection
-        self.created = 0  #: executors built over the lifetime
         self._executor: Optional[ProcessPoolExecutor] = None
 
     def acquire(self) -> ProcessPoolExecutor:
@@ -245,7 +250,6 @@ class PersistentPool:
                 )
             else:
                 self._executor = ProcessPoolExecutor(max_workers=self.jobs)
-            self.created += 1
         return self._executor
 
     def discard(self, executor: ProcessPoolExecutor) -> None:
@@ -270,12 +274,47 @@ class PersistentPool:
             self._executor = None
 
 
+def _chunk_size(count: int, jobs: int, configured: Optional[int]) -> int:
+    """Items per chunk: ``configured``, else ~4 chunks per worker, capped at 32."""
+    return configured or max(1, min(32, math.ceil(count / (jobs * 4))))
+
+
+def evaluate_chunk(
+    chunk: Sequence[_ChunkItem],
+    grouped: bool,
+    injection: Optional[InjectionSpec] = None,
+) -> List[ReportPayload]:
+    """Evaluate one chunk into report payloads, in chunk order.
+
+    The one evaluator behind the inline path and the pool workers.
+    ``grouped`` routes the chunk through the grouped population
+    evaluator (:func:`~repro.pipeline.grouping.evaluate_chunk_grouped`)
+    — per-item payloads are byte-identical to the per-item path, only
+    the kernel dispatch fuses across the chunk.
+
+    ``injection`` is the chaos harness's deterministic fault seam: when
+    armed, an item can SIGKILL its own worker or hang it before any
+    evaluation runs (:func:`~repro.pipeline.fault_tolerance.
+    maybe_inject`).
+    """
+    for key, _request in chunk:
+        maybe_inject(injection, key)
+    requests = [request for _key, request in chunk]
+    if grouped:
+        from repro.pipeline import grouping
+
+        reports = grouping.evaluate_chunk_grouped(requests)
+    else:
+        reports = [evaluate_captured(request) for request in requests]
+    return [report.to_dict() for report in reports]
+
+
 def _worker_chunk(
     chunk: Sequence[_ChunkItem],
-    trace_enabled: bool = False,
-    injection: Optional[InjectionSpec] = None,
-    population: bool = False,
-) -> Tuple[List[Tuple[int, ReportPayload]], WorkerMeta]:
+    trace_enabled: bool,
+    injection: Optional[InjectionSpec],
+    grouped: bool,
+) -> Tuple[List[ReportPayload], WorkerMeta]:
     """Process-pool entry point: evaluate a chunk, return JSON payloads.
 
     Workers hand back plain dictionaries (the ``to_dict`` encoding), the
@@ -286,16 +325,6 @@ def _worker_chunk(
     process and forked workers inherit the parent's totals, hence the
     delta), the chunk wall time, and — when the parent had tracing on —
     the span records the chunk produced.
-
-    ``injection`` is the chaos harness's deterministic fault seam: when
-    armed, an item can SIGKILL its own worker or hang it before any
-    evaluation runs (:func:`~repro.pipeline.fault_tolerance.
-    maybe_inject`).
-
-    ``population`` routes the whole chunk through the grouped
-    population evaluator (:func:`~repro.pipeline.grouping.
-    evaluate_chunk_grouped`) — per-item payloads are byte-identical to
-    the per-item path, only the kernel dispatch fuses across the chunk.
     """
     from repro.analysis.kernels import PERF
 
@@ -304,19 +333,7 @@ def _worker_chunk(
         trace.drain()  # discard records inherited from the parent via fork
     perf_before = PERF.snapshot()
     t0 = time.perf_counter()
-    results: List[Tuple[int, ReportPayload]] = []
-    if population and len(chunk) > 1:
-        from repro.pipeline.grouping import evaluate_chunk_grouped
-
-        for _slot, key, _request in chunk:
-            maybe_inject(injection, key)
-        reports = evaluate_chunk_grouped([request for _, _, request in chunk])
-        for (slot, _, _), report in zip(chunk, reports):
-            results.append((slot, report.to_dict()))
-    else:
-        for slot, key, request in chunk:
-            maybe_inject(injection, key)
-            results.append((slot, evaluate_captured(request).to_dict()))
+    payloads = evaluate_chunk(chunk, grouped, injection)
     meta: WorkerMeta = {
         "pid": os.getpid(),
         "items": len(chunk),
@@ -324,12 +341,12 @@ def _worker_chunk(
         "perf": PERF.delta_since(perf_before),
         "spans": trace.drain() if trace_enabled else [],
     }
-    return results, meta
+    return payloads, meta
 
 
 @dataclass
 class BatchStats:
-    """Bookkeeping for one :meth:`BatchRunner.run` call.
+    """Bookkeeping for one executed submission.
 
     The settle paths reconcile exactly:
     ``computed + cache_hits + resumed + deduplicated + quarantined ==
@@ -431,758 +448,577 @@ class _Flight:
     solitary: bool
 
 
-@dataclass
-class BatchRunner:
-    """Run analysis requests serially or across worker processes.
+# ----------------------------------------------------------------------
+# Checkpoint and cache plumbing
+# ----------------------------------------------------------------------
+def _load_checkpoint(
+    path: Path, io: CheckpointIO, faults: FaultStats
+) -> Dict[str, ReportPayload]:
+    """Completed payloads by key; corruption-tolerant.
 
-    Parameters
-    ----------
-    jobs:
-        Worker processes; ``1`` (default) runs inline with no pool —
-        the two paths produce identical reports.
-    cache:
-        Optional :class:`ResultCache`; hits skip evaluation entirely.
-        Corrupt entries degrade to misses; failed writes are retried
-        under ``retry`` and then skipped.
-    checkpoint:
-        Optional JSONL path; every settled item is appended as a
-        CRC-wrapped line and flushed+fsynced per settle batch, so a
-        killed sweep loses at most in-flight items.
-    resume:
-        Load the checkpoint before running and skip every request whose
-        key is already recorded (corrupt/torn lines are recomputed).
-    chunk_size:
-        Requests per worker chunk (default: balance ~4 chunks per
-        worker, capped at 32).
-    progress:
-        ``progress(done, total)`` callback, invoked after every settled
-        item (cache hit, resumed, computed, quarantined or failed).
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; the run
-        folds in batch stats, cache totals, kernel perf deltas (summed
-        across workers), per-worker chunk timings and fault counters.
-    retry:
-        Runner-wide :class:`~repro.pipeline.fault_tolerance.RetryPolicy`
-        (attempt budget, backoff, per-item watchdog timeout) for
-        infrastructure failures; ``request.retry`` overrides it per
-        item.
-    quarantine:
-        Optional JSONL path: items that exhaust their attempts are
-        recorded there (with full attempt history) and settle as
-        ``stage="quarantine"`` failure reports instead of aborting the
-        batch.  Without a path, quarantining still happens — only the
-        forensic file is skipped.
-    io:
-        Injectable filesystem seam for the durable writes (checkpoint,
-        quarantine); the chaos harness substitutes a failing one.
-    injection:
-        Deterministic worker-fault injection spec (chaos/testing only).
-    pool:
-        Optional :class:`PersistentPool` shared across runs.  Without
-        one (the CLI default) the runner builds a private executor per
-        parallel run and shuts it down afterwards — byte-identical
-        behaviour to the pre-core pipeline.  With one (the work-queue
-        core) executors survive between runs and broken pools are
-        discarded back to the shared supervisor.
-    install_signal_handlers:
-        Trap SIGINT/SIGTERM during :meth:`run` for graceful drain
-        (main thread only).  The first signal stops scheduling, flushes
-        checkpoint and metrics, and raises :class:`~repro.pipeline.
-        fault_tolerance.BatchAborted`; a second one kills the process.
-    population:
-        Evaluate chunks through the grouped population path
-        (:func:`~repro.pipeline.grouping.evaluate_chunk_grouped`): one
-        fused kernel dispatch per analysis stage per chunk instead of
-        per item.  Reports, caching, checkpointing and the exactly-once
-        stats are byte-identical to the per-item path at any ``jobs``
-        count; only the kernel perf counters (``kernel_evals``,
-        ``cells``) group differently, which is why this is opt-in.
+    Every line is CRC-verified (:func:`~repro.pipeline.
+    fault_tolerance.decode_durable_line`); a torn tail, a flipped
+    bit or a truncated line counts as corrupt and that item is
+    simply recomputed.  Duplicate keys resolve last-wins (an
+    append-mode file can hold a failed attempt followed by a later
+    success).  Infrastructure failures — a worker died, an item was
+    quarantined — are transient, not verdicts: they are dropped so
+    resume retries those items against (hopefully) healthier
+    machinery.
     """
-
-    jobs: int = 1
-    cache: Optional[ResultCache] = None
-    checkpoint: Optional[PathLike] = None
-    resume: bool = False
-    chunk_size: Optional[int] = None
-    progress: Optional[ProgressCallback] = None
-    metrics: Optional[MetricsRegistry] = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    quarantine: Optional[PathLike] = None
-    io: CheckpointIO = field(default_factory=CheckpointIO)
-    injection: Optional[InjectionSpec] = None
-    pool: Optional[PersistentPool] = None
-    install_signal_handlers: bool = True
-    population: bool = False
-    stats: BatchStats = field(default_factory=BatchStats)
-    faults: FaultStats = field(default_factory=FaultStats)
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-
-    # ------------------------------------------------------------------
-    # Checkpoint plumbing
-    # ------------------------------------------------------------------
-    def _load_checkpoint(self) -> Dict[str, ReportPayload]:
-        """Completed payloads by key; corruption-tolerant.
-
-        Every line is CRC-verified (:func:`~repro.pipeline.
-        fault_tolerance.decode_durable_line`); a torn tail, a flipped
-        bit or a truncated line counts as corrupt and that item is
-        simply recomputed.  Duplicate keys resolve last-wins (an
-        append-mode file can hold a failed attempt followed by a later
-        success).  Infrastructure failures — a worker died, an item was
-        quarantined — are transient, not verdicts: they are dropped so
-        resume retries those items against (hopefully) healthier
-        machinery.
-        """
-        completed: Dict[str, ReportPayload] = {}
-        if not self.resume or self.checkpoint is None:
-            return completed
-        path = Path(self.checkpoint)
-        if not path.exists():
-            return completed
-        try:
-            text = self.io.read_text(path)
-        except OSError:
-            self.faults.checkpoint_io_errors += 1
-            return completed
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            entry = decode_durable_line(line)
-            if entry is None:
-                self.faults.checkpoint_corrupt_lines += 1
-                continue
-            if entry.get("checkpoint_version") not in _RESUMABLE_VERSIONS:
-                continue
-            key = entry.get("key")
-            report = entry.get("report")
-            if not isinstance(key, str) or not isinstance(report, dict):
-                self.faults.checkpoint_corrupt_lines += 1
-                continue
-            payload = cast(ReportPayload, report)
-            if _is_infrastructure_failure(payload):
-                completed.pop(key, None)
-                continue
-            completed[key] = payload
+    completed: Dict[str, ReportPayload] = {}
+    if not path.exists():
         return completed
+    try:
+        text = io.read_text(path)
+    except OSError:
+        faults.checkpoint_io_errors += 1
+        return completed
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        entry = decode_durable_line(line)
+        if entry is None:
+            faults.checkpoint_corrupt_lines += 1
+            continue
+        if entry.get("checkpoint_version") not in _RESUMABLE_VERSIONS:
+            continue
+        key = entry.get("key")
+        report = entry.get("report")
+        if not isinstance(key, str) or not isinstance(report, dict):
+            faults.checkpoint_corrupt_lines += 1
+            continue
+        payload = cast(ReportPayload, report)
+        if _is_infrastructure_failure(payload):
+            completed.pop(key, None)
+            continue
+        completed[key] = payload
+    return completed
 
-    def _open_appender(
-        self, completed: Dict[str, ReportPayload]
-    ) -> Optional[DurableAppender]:
-        """Open the durable checkpoint appender.
 
-        Not resuming: truncate — stale entries from an unrelated earlier
-        run must not leak into a later resume.  Resuming: rewrite the
-        file as one compacted CRC line per surviving key (atomically,
-        via a temp file) before reopening for append, so duplicates and
-        infrastructure failures don't accumulate across interruptions.
-        A failed compaction is not fatal: the appender falls back to
-        plain append and last-wins resume absorbs the duplicates.
-        """
-        if self.checkpoint is None:
-            return None
-        path = Path(self.checkpoint)
-        if self.resume and path.exists():
-            lines = []
-            # Canonical compaction order: the append order of the dying
-            # file reflects jobs=N scheduling, so a key-sorted rewrite
-            # keeps compacted checkpoints byte-identical across runs.
-            for key, payload in sorted(completed.items()):
-                entry: CheckpointEntry = {
-                    "checkpoint_version": CHECKPOINT_VERSION,
-                    "key": key,
-                    "report": payload,
-                }
-                lines.append(encode_durable_line(entry))
-            try:
-                self.io.write_text_atomic(
-                    path, "".join(line + "\n" for line in lines)
-                )
-            except OSError:
-                self.faults.checkpoint_io_errors += 1
-            return DurableAppender(path, io=self.io, policy=self.retry)
-        return DurableAppender(path, io=self.io, policy=self.retry, truncate=True)
+def _open_appender(
+    path: Path,
+    resume: bool,
+    completed: Dict[str, ReportPayload],
+    core: "WorkQueueCore",
+    faults: FaultStats,
+) -> DurableAppender:
+    """Open the durable checkpoint appender.
 
-    # ------------------------------------------------------------------
-    # Cache write with bounded retry
-    # ------------------------------------------------------------------
-    def _cache_put(self, key: str, payload: ReportPayload) -> None:
-        """Store in the cache, retrying IO errors; a lost entry is not fatal."""
-        if self.cache is None:
+    Not resuming: truncate — stale entries from an unrelated earlier
+    run must not leak into a later resume.  Resuming: rewrite the
+    file as one compacted CRC line per surviving key (atomically,
+    via a temp file) before reopening for append, so duplicates and
+    infrastructure failures don't accumulate across interruptions.
+    A failed compaction is not fatal: the appender falls back to
+    plain append and last-wins resume absorbs the duplicates.
+    """
+    if resume and path.exists():
+        lines = []
+        # Canonical compaction order: the append order of the dying
+        # file reflects jobs=N scheduling, so a key-sorted rewrite
+        # keeps compacted checkpoints byte-identical across runs.
+        for key, payload in sorted(completed.items()):
+            entry: CheckpointEntry = {
+                "checkpoint_version": CHECKPOINT_VERSION,
+                "key": key,
+                "report": payload,
+            }
+            lines.append(encode_durable_line(entry))
+        try:
+            core.io.write_text_atomic(path, "".join(line + "\n" for line in lines))
+        except OSError:
+            faults.checkpoint_io_errors += 1
+        return DurableAppender(path, io=core.io, policy=core.retry)
+    return DurableAppender(path, io=core.io, policy=core.retry, truncate=True)
+
+
+def _cache_put(
+    cache: ResultCache,
+    key: str,
+    payload: ReportPayload,
+    retry: RetryPolicy,
+    faults: FaultStats,
+) -> None:
+    """Store in the cache, retrying IO errors; a lost entry is not fatal."""
+    for attempt in range(1, retry.max_attempts + 1):
+        try:
+            cache.put(key, payload)
             return
-        for attempt in range(1, self.retry.max_attempts + 1):
-            try:
-                self.cache.put(key, payload)
-                return
-            except OSError:
-                self.faults.cache_io_errors += 1
-                if attempt >= self.retry.max_attempts:
-                    return  # cache is an optimisation: degrade, don't abort
-                time.sleep(self.retry.delay(f"cache:{key}", attempt))
+        except OSError:
+            faults.cache_io_errors += 1
+            if attempt >= retry.max_attempts:
+                return  # cache is an optimisation: degrade, don't abort
+            time.sleep(retry.delay(f"cache:{key}", attempt))
 
-    # ------------------------------------------------------------------
-    # Main entry point
-    # ------------------------------------------------------------------
-    def run(self, requests: Sequence[AnalysisRequest]) -> List[AnalysisReport]:
-        """Evaluate every request, returning reports in request order.
 
-        Raises :class:`~repro.pipeline.fault_tolerance.BatchAborted`
-        when a trapped SIGINT/SIGTERM drains the run early; everything
-        settled up to that point is flushed and resumable.
-        """
-        from repro.analysis.kernels import PERF
+# ----------------------------------------------------------------------
+# The settle loop
+# ----------------------------------------------------------------------
+def execute(
+    core: "WorkQueueCore",
+    submission: "_Submission",
+    progress: ProgressCallback,
+    install_signal_handlers: bool,
+) -> List[ReportPayload]:
+    """Settle every request of ``submission`` exactly once, in request order.
 
-        requests = list(requests)
-        self.stats = BatchStats(total=len(requests))
-        self.faults = FaultStats()
-        payloads: List[Optional[ReportPayload]] = [None] * len(requests)
+    Checkpoint and cache hits settle first, duplicate keys collapse to
+    one evaluation, and the rest is evaluated inline (one worker, or a
+    single pending key) or on the core's supervised pool.  The per-run
+    tallies accumulate into ``submission.stats``/``submission.faults``
+    as items settle, so an interrupted run still reports what it did.
+    ``progress(done, total)`` is called after every settled item.
 
-        perf_before = PERF.snapshot()
-        cache_before = (
-            (self.cache.hits, self.cache.misses, self.cache.corrupt,
-             self.cache.io_errors)
-            if self.cache is not None
-            else (0, 0, 0, 0)
-        )
-        t_run = time.perf_counter()
-        resumed = self._load_checkpoint()
+    Raises :class:`~repro.pipeline.fault_tolerance.BatchAborted`
+    when a trapped SIGINT/SIGTERM drains the run early; everything
+    settled up to that point is flushed and resumable.
+    """
+    from repro.analysis.kernels import PERF
 
-        # Settle cache/checkpoint hits and dedup the rest by key: a
-        # population containing the same configured task set twice costs
-        # one evaluation.  A failure payload counts as a failure however
-        # it arrives — computed, cached, resumed or quarantined.
-        pending: Dict[str, List[int]] = {}
-        pending_request: Dict[str, AnalysisRequest] = {}
-        for index, request in enumerate(requests):
-            key = request.key
-            payload = resumed.get(key)
+    requests = submission.requests
+    stats, faults = submission.stats, submission.faults
+    stats.total = len(requests)
+    cache, metrics = core.cache, core.metrics
+    checkpoint = Path(submission.checkpoint) if submission.checkpoint is not None else None
+    payloads: List[Optional[ReportPayload]] = [None] * len(requests)
+
+    perf_before = PERF.snapshot()
+    cache_before = (
+        (cache.hits, cache.misses, cache.corrupt, cache.io_errors)
+        if cache is not None
+        else (0, 0, 0, 0)
+    )
+    t_run = time.perf_counter()
+    resumed: Dict[str, ReportPayload] = (
+        _load_checkpoint(checkpoint, core.io, faults)
+        if submission.resume and checkpoint is not None
+        else {}
+    )
+
+    # Settle cache/checkpoint hits and dedup the rest by key: a
+    # population containing the same configured task set twice costs
+    # one evaluation.  A failure payload counts as a failure however
+    # it arrives — computed, cached, resumed or quarantined.
+    pending: Dict[str, List[int]] = {}
+    pending_request: Dict[str, AnalysisRequest] = {}
+    for index, request in enumerate(requests):
+        key = request.key
+        payload = resumed.get(key)
+        if payload is not None:
+            payloads[index] = payload
+            stats.resumed += 1
+            if payload.get("failure") is not None:
+                stats.failures += 1
+            continue
+        if cache is not None:
+            payload = cache.get(key)
             if payload is not None:
                 payloads[index] = payload
-                self.stats.resumed += 1
+                stats.cache_hits += 1
                 if payload.get("failure") is not None:
-                    self.stats.failures += 1
+                    stats.failures += 1
                 continue
-            if self.cache is not None:
-                payload = self.cache.get(key)
-                if payload is not None:
-                    payloads[index] = payload
-                    self.stats.cache_hits += 1
-                    if payload.get("failure") is not None:
-                        self.stats.failures += 1
-                    continue
-            if key in pending:
-                pending[key].append(index)
-            else:
-                pending[key] = [index]
-                pending_request[key] = request
-
-        done = len(requests) - sum(len(v) for v in pending.values())
-        if self.progress is not None and done:
-            self.progress(done, len(requests))
-
-        appender = self._open_appender(resumed)
-        quarantine_file = (
-            Quarantine(self.quarantine, io=self.io, policy=self.retry)
-            if self.quarantine is not None
-            else None
-        )
-
-        def settle(key: str, payload: ReportPayload, quarantined: bool = False) -> None:
-            nonlocal done
-            indices = pending[key]
-            if payloads[indices[0]] is not None:
-                raise RuntimeError(
-                    f"batch item {key} settled twice — exactly-once "
-                    f"accounting would be violated"
-                )
-            for index in indices:
-                payloads[index] = payload
-            done += len(indices)
-            if quarantined:
-                self.stats.quarantined += 1
-            else:
-                self.stats.computed += 1
-            self.stats.deduplicated += len(indices) - 1
-            if payload.get("failure") is not None:
-                self.stats.failures += 1
-            if not quarantined:
-                # A quarantined verdict is transient; caching it would
-                # resurface an infrastructure hiccup as a cached fact.
-                self._cache_put(key, payload)
-            if appender is not None:
-                entry: CheckpointEntry = {
-                    "checkpoint_version": CHECKPOINT_VERSION,
-                    "key": key,
-                    "report": payload,
-                }
-                appender.append(entry)
-            if self.progress is not None:
-                self.progress(done, len(requests))
-
-        def commit() -> None:
-            if appender is not None:
-                appender.commit()
-
-        def quarantine_item(item: _Tracked) -> None:
-            last = item.attempts[-1] if item.attempts else None
-            failure = AnalysisFailure(
-                stage="quarantine",
-                error_type=last["error_type"] if last else "Unknown",
-                message=(
-                    f"quarantined after {item.counted} counted attempts "
-                    f"({len(item.attempts)} recorded: "
-                    + ", ".join(a["stage"] for a in item.attempts)
-                    + ")"
-                ),
-            )
-            report = AnalysisReport.failed(item.request, failure)
-            if quarantine_file is not None:
-                quarantine_file.record(
-                    item.key, item.request.taskset.name, item.attempts
-                )
-            settle(item.key, report.to_dict(), quarantined=True)
-            commit()
-
-        work = [(key, pending_request[key]) for key in pending]
-        try:
-            with GracefulShutdown(install=self.install_signal_handlers) as shutdown:
-                if self.jobs == 1 or len(work) <= 1:
-                    if self.population and len(work) > 1:
-                        from repro.pipeline.grouping import evaluate_chunk_grouped
-
-                        size = self.chunk_size or max(
-                            1, min(32, math.ceil(len(work) / (self.jobs * 4)))
-                        )
-                        for start in range(0, len(work), size):
-                            if shutdown.requested:
-                                raise self._aborted(shutdown, done, len(requests))
-                            chunk = work[start : start + size]
-                            t0 = time.perf_counter()
-                            chunk_reports = evaluate_chunk_grouped(
-                                [request for _key, request in chunk]
-                            )
-                            for (key, _request), report in zip(chunk, chunk_reports):
-                                settle(key, report.to_dict())
-                            commit()
-                            if self.metrics is not None:
-                                self.metrics.record_chunk(
-                                    "inline", len(chunk), time.perf_counter() - t0
-                                )
-                    else:
-                        for key, request in work:
-                            if shutdown.requested:
-                                raise self._aborted(shutdown, done, len(requests))
-                            t0 = time.perf_counter()
-                            settle(key, evaluate_captured(request).to_dict())
-                            commit()
-                            if self.metrics is not None:
-                                self.metrics.record_chunk(
-                                    "inline", 1, time.perf_counter() - t0
-                                )
-                else:
-                    self._run_parallel(
-                        work,
-                        settle,
-                        commit,
-                        quarantine_item,
-                        shutdown,
-                        lambda: self._aborted(shutdown, done, len(requests)),
-                    )
-        finally:
-            if appender is not None:
-                appender.close()
-                self.faults.checkpoint_io_errors += appender.io_errors
-            if quarantine_file is not None:
-                quarantine_file.close()
-                self.faults.checkpoint_io_errors += quarantine_file.io_errors
-            if self.cache is not None:
-                self.faults.cache_corrupt += self.cache.corrupt - cache_before[2]
-                self.faults.cache_io_errors += (
-                    self.cache.io_errors - cache_before[3]
-                )
-            if self.metrics is not None:
-                # The main-process kernel delta covers the inline path (and
-                # is zero under a pool); worker deltas were folded in per
-                # chunk.  Folding in ``finally`` means an aborted run still
-                # flushes everything it measured.
-                self.metrics.record_kernel_perf(PERF.delta_since(perf_before))
-                self.metrics.record_batch_stats(self.stats.to_dict())
-                self.metrics.record_fault_stats(self.faults.to_dict())
-                if self.cache is not None:
-                    self.metrics.record_cache(
-                        self.cache.hits - cache_before[0],
-                        self.cache.misses - cache_before[1],
-                    )
-                self.metrics.timing(
-                    "batch.wall_seconds", time.perf_counter() - t_run
-                )
-
-        reports: List[AnalysisReport] = []
-        for index, payload in enumerate(payloads):
-            if payload is None:  # unreachable unless settle logic regresses
-                raise RuntimeError(
-                    f"batch item {index} ({requests[index].key}) never settled"
-                )
-            reports.append(AnalysisReport.from_dict(payload))
-        return reports
-
-    def _aborted(
-        self, shutdown: GracefulShutdown, done: int, total: int
-    ) -> BatchAborted:
-        return BatchAborted(
-            shutdown.signal_name or "signal",
-            done,
-            total,
-            Path(self.checkpoint) if self.checkpoint is not None else None,
-        )
-
-    # ------------------------------------------------------------------
-    # Supervised pool execution
-    # ------------------------------------------------------------------
-    def _new_executor(self) -> ProcessPoolExecutor:
-        if self.injection is not None:
-            return ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=chaos_pool_initializer,
-                initargs=(self.injection,),
-            )
-        return ProcessPoolExecutor(max_workers=self.jobs)
-
-    def _acquire_executor(self) -> ProcessPoolExecutor:
-        """A ready executor: the shared persistent pool's, or a private one."""
-        if self.pool is not None:
-            return self.pool.acquire()
-        return self._new_executor()
-
-    def _discard_executor(self, executor: ProcessPoolExecutor) -> None:
-        """Kill an executor after a break (via the shared pool when present)."""
-        if self.pool is not None:
-            self.pool.discard(executor)
+        if key in pending:
+            pending[key].append(index)
         else:
-            self._kill_pool(executor)
+            pending[key] = [index]
+            pending_request[key] = request
 
-    @staticmethod
-    def _kill_pool(executor: ProcessPoolExecutor) -> None:
-        """Terminate a pool *now*, including hung workers."""
-        _kill_executor(executor)
+    done = len(requests) - sum(len(v) for v in pending.values())
+    if done:
+        progress(done, len(requests))
 
-    def _chunk_deadline(self, chunk: List[_Tracked], now: float) -> Optional[float]:
-        """Watchdog deadline for a chunk, or None when any item opts out."""
-        total = 0.0
-        for item in chunk:
-            timeout = item.policy.timeout
-            if timeout is None:
-                return None
-            total += timeout
-        return now + total + _TIMEOUT_GRACE
-
-    def _run_parallel(
-        self,
-        work: Sequence[Tuple[str, AnalysisRequest]],
-        settle: Callable[..., None],
-        commit: Callable[[], None],
-        quarantine_item: Callable[[_Tracked], None],
-        shutdown: GracefulShutdown,
-        make_abort: Callable[[], BatchAborted],
-    ) -> None:
-        tracked = [
-            _Tracked(
-                key=key,
-                request=request,
-                policy=request.retry if request.retry is not None else self.retry,
-            )
-            for key, request in work
-        ]
-        size = self.chunk_size or max(
-            1, min(32, math.ceil(len(tracked) / (self.jobs * 4)))
-        )
-        ready: Deque[List[_Tracked]] = deque(
-            tracked[i : i + size] for i in range(0, len(tracked), size)
-        )
-        delayed: List[Tuple[float, List[_Tracked]]] = []
-        solitary: Deque[_Tracked] = deque()
-        in_flight: Dict["Future[Tuple[List[Tuple[int, ReportPayload]], WorkerMeta]]", _Flight] = {}
-        trace_enabled = trace.is_enabled()
-        executor: Optional[ProcessPoolExecutor] = None
-        consecutive_rebuilds = 0
-
-        def requeue(item: _Tracked, delay: float) -> None:
-            """Route one item back into the right queue (or quarantine)."""
-            if item.exhausted():
-                quarantine_item(item)
-                return
-            item.solitary = item.solitary or item.suspect_breaks >= _SUSPECT_THRESHOLD
-            if item.solitary:
-                solitary.append(item)
-            elif delay > 0.0:
-                delayed.append((time.perf_counter() + delay, [item]))
-            else:
-                ready.append([item])
-
-        def break_pool(culprit_known: bool) -> None:
-            """Kill + forget the pool; requeue everything in flight once."""
-            nonlocal executor, consecutive_rebuilds
-            self.faults.pool_rebuilds += 1
-            consecutive_rebuilds += 1
-            if executor is not None:
-                self._discard_executor(executor)
-                executor = None
-            collateral = [flight for flight in in_flight.values()]
-            in_flight.clear()
-            for flight in collateral:
-                for item in flight.chunk:
-                    # Exactly-once requeue per break: the item goes back
-                    # into a queue a single time, as a singleton so one
-                    # bad chunk-mate cannot keep dragging it down.
-                    item.record("pool", None, counted=False)
-                    if not culprit_known:
-                        item.suspect_breaks += 1
-                    requeue(item, 0.0)
-            if consecutive_rebuilds > _MAX_CONSECUTIVE_REBUILDS:
-                raise RuntimeError(
-                    f"process pool broke {consecutive_rebuilds} times without "
-                    f"settling a single chunk; infrastructure is unusable"
-                )
-
-        def submit(chunk: List[_Tracked], is_solitary: bool) -> bool:
-            """Submit one chunk; False when the pool broke at submit time."""
-            nonlocal executor
-            if executor is None:
-                executor = self._acquire_executor()
-            payload: List[_ChunkItem] = [
-                (slot, item.key, item.request) for slot, item in enumerate(chunk)
-            ]
-            try:
-                future = executor.submit(
-                    _worker_chunk,
-                    payload,
-                    trace_enabled,
-                    self.injection,
-                    self.population,
-                )
-            except BrokenProcessPool:
-                # The chunk never ran: requeue it for free, recycle the
-                # pool, and charge the break to whatever was in flight.
-                if is_solitary:
-                    solitary.extendleft(reversed(chunk))
-                else:
-                    ready.appendleft(chunk)
-                break_pool(culprit_known=False)
-                return False
-            now = time.perf_counter()
-            in_flight[future] = _Flight(
-                chunk=chunk,
-                deadline=self._chunk_deadline(chunk, now),
-                solitary=is_solitary,
-            )
-            return True
-
-        def handle_failure(flight: _Flight, error: BaseException) -> None:
-            """A chunk future completed exceptionally (pool still alive)."""
-            chunk = flight.chunk
-            if len(chunk) > 1:
-                # Culprit unknown inside the chunk: isolate to singletons
-                # without charging anyone an attempt yet.
-                for item in chunk:
-                    item.record("isolate", error, counted=False)
-                    requeue(item, 0.0)
-                return
-            item = chunk[0]
-            stage = "worker" if flight.solitary else "compute"
-            item.record(stage, error, counted=True)
-            self.faults.retries += 1
-            requeue(item, item.policy.delay(item.key, item.counted))
-
-        while ready or delayed or solitary or in_flight:
-            if shutdown.requested:
-                if executor is not None:
-                    self._discard_executor(executor)
-                    executor = None
-                commit()
-                raise make_abort()
-
-            now = time.perf_counter()
-            if delayed:
-                due = [chunk for when, chunk in delayed if when <= now]
-                delayed[:] = [(when, c) for when, c in delayed if when > now]
-                ready.extend(due)
-
-            # Fill the window: at most ``jobs`` chunks in flight, so every
-            # submitted chunk is actually running and its watchdog deadline
-            # measures work, not queueing.  Solitary items run strictly
-            # alone — the next pool break convicts them beyond doubt.
-            while ready and len(in_flight) < self.jobs:
-                submit(ready.popleft(), is_solitary=False)
-            if not ready and not delayed and not in_flight and solitary:
-                submit([solitary.popleft()], is_solitary=True)
-
-            if not in_flight:
-                if delayed and not ready:
-                    next_due = min(when for when, _chunk in delayed)
-                    time.sleep(
-                        min(max(next_due - time.perf_counter(), 0.0), _MAX_POLL_SECONDS)
-                    )
-                continue
-
-            poll = _MAX_POLL_SECONDS
-            deadlines = [
-                flight.deadline
-                for flight in in_flight.values()
-                if flight.deadline is not None
-            ]
-            if deadlines:
-                poll = min(poll, max(min(deadlines) - time.perf_counter(), 0.01))
-            finished, _pending = wait(
-                set(in_flight), timeout=poll, return_when=FIRST_COMPLETED
-            )
-
-            broken = False
-            for future in finished:
-                flight = in_flight.pop(future)
-                error = future.exception()
-                if error is None:
-                    results, meta = future.result()
-                    consecutive_rebuilds = 0
-                    if self.metrics is not None:
-                        self.metrics.record_chunk(
-                            f"pid{meta['pid']}", meta["items"], meta["seconds"]
-                        )
-                        self.metrics.record_kernel_perf(meta["perf"])
-                    if meta["spans"]:
-                        trace.extend(meta["spans"])
-                    for slot, payload_dict in results:
-                        settle(flight.chunk[slot].key, payload_dict)
-                    commit()
-                elif isinstance(error, BrokenProcessPool):
-                    # The whole pool died; every in-flight chunk is a
-                    # casualty and none of them is provably the cause.
-                    for item in flight.chunk:
-                        item.record("pool", error, counted=flight.solitary)
-                        if flight.solitary:
-                            # Ran alone: the conviction is definitive.
-                            self.faults.retries += 1
-                            requeue(
-                                item, item.policy.delay(item.key, item.counted)
-                            )
-                        else:
-                            item.suspect_breaks += 1
-                            requeue(item, 0.0)
-                    broken = True
-                else:
-                    handle_failure(flight, error)
-            if broken:
-                break_pool(culprit_known=False)
-                continue
-
-            # Watchdog: a chunk past its wall-clock deadline means a hung
-            # worker.  Kill the pool (the only way to reclaim the process),
-            # charge the expired chunk a timeout attempt, and requeue the
-            # innocent bystander chunks for free.
-            now = time.perf_counter()
-            expired = [
-                future
-                for future, flight in in_flight.items()
-                if flight.deadline is not None and now >= flight.deadline
-            ]
-            if expired:
-                self.faults.timeouts += len(expired)
-                for future in expired:
-                    flight = in_flight.pop(future)
-                    for item in flight.chunk:
-                        item.record(
-                            "timeout",
-                            TimeoutError(
-                                f"exceeded {item.policy.timeout}s/item watchdog"
-                            ),
-                            counted=True,
-                        )
-                        self.faults.retries += 1
-                        requeue(item, item.policy.delay(item.key, item.counted))
-                break_pool(culprit_known=True)
-
-        if executor is not None and self.pool is None:
-            # A private executor dies with the run; a shared persistent
-            # pool stays warm for the core's next submission.
-            executor.shutdown(wait=True)
-
-    # ------------------------------------------------------------------
-    # Generic fan-out (no cache/checkpoint): used by the resilience suite
-    # ------------------------------------------------------------------
-    def map_items(
-        self,
-        fn: Callable[[ItemT], ResultT],
-        items: Iterable[ItemT],
-    ) -> List[ResultT]:
-        """Map a picklable top-level function over items, in order.
-
-        Serial for ``jobs=1``; otherwise ``ProcessPoolExecutor.map`` with
-        the runner's chunking.  Exceptions propagate (no failure capture:
-        the caller owns the item semantics here) — except
-        ``BrokenProcessPool``, which rebuilds the pool and recomputes the
-        not-yet-consumed tail, bounded by ``retry.max_attempts``, so the
-        resilience sweep survives a dead worker like the batch path does.
-        """
-        items = list(items)
-        results: List[ResultT] = []
-        if self.jobs == 1 or len(items) <= 1:
-            for i, item in enumerate(items):
-                results.append(fn(item))
-                if self.progress is not None:
-                    self.progress(i + 1, len(items))
-            return results
-        size = self.chunk_size or max(
-            1, min(32, math.ceil(len(items) / (self.jobs * 4)))
-        )
-        breaks = 0
-        while len(results) < len(items):
-            remaining = items[len(results):]
-            try:
-                with ProcessPoolExecutor(max_workers=self.jobs) as executor:
-                    for result in executor.map(fn, remaining, chunksize=size):
-                        results.append(result)
-                        if self.progress is not None:
-                            self.progress(len(results), len(items))
-            except BrokenProcessPool as error:
-                breaks += 1
-                self.faults.pool_rebuilds += 1
-                self.faults.retries += 1
-                if breaks >= self.retry.max_attempts:
-                    raise RuntimeError(
-                        f"map_items pool broke {breaks} times; giving up"
-                    ) from error
-                time.sleep(self.retry.delay("map_items", breaks))
-        return results
-
-
-def run_batch(
-    requests: Sequence[AnalysisRequest],
-    *,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    checkpoint: Optional[PathLike] = None,
-    resume: bool = False,
-    chunk_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    retry: Optional[RetryPolicy] = None,
-    quarantine: Optional[PathLike] = None,
-    population: bool = False,
-) -> List[AnalysisReport]:
-    """One-shot convenience wrapper around :class:`BatchRunner`."""
-    runner = BatchRunner(
-        jobs=jobs,
-        cache=cache,
-        checkpoint=checkpoint,
-        resume=resume,
-        chunk_size=chunk_size,
-        progress=progress,
-        metrics=metrics,
-        retry=retry if retry is not None else RetryPolicy(),
-        quarantine=quarantine,
-        population=population,
+    appender = (
+        _open_appender(checkpoint, submission.resume, resumed, core, faults)
+        if checkpoint is not None
+        else None
     )
-    return runner.run(requests)
+    quarantine_file = (
+        Quarantine(core.quarantine, io=core.io, policy=core.retry)
+        if core.quarantine is not None
+        else None
+    )
+
+    def settle(key: str, payload: ReportPayload, quarantined: bool) -> None:
+        nonlocal done
+        indices = pending[key]
+        if payloads[indices[0]] is not None:
+            raise RuntimeError(
+                f"batch item {key} settled twice — exactly-once "
+                f"accounting would be violated"
+            )
+        for index in indices:
+            payloads[index] = payload
+        done += len(indices)
+        if quarantined:
+            stats.quarantined += 1
+        else:
+            stats.computed += 1
+        stats.deduplicated += len(indices) - 1
+        if payload.get("failure") is not None:
+            stats.failures += 1
+        if cache is not None and not quarantined:
+            # A quarantined verdict is transient; caching it would
+            # resurface an infrastructure hiccup as a cached fact.
+            _cache_put(cache, key, payload, core.retry, faults)
+        if appender is not None:
+            entry: CheckpointEntry = {
+                "checkpoint_version": CHECKPOINT_VERSION,
+                "key": key,
+                "report": payload,
+            }
+            appender.append(entry)
+        progress(done, len(requests))
+
+    work = [(key, pending_request[key]) for key in pending]
+    try:
+        with GracefulShutdown(install=install_signal_handlers) as shutdown:
+            batches = (
+                _inline_batches(core, work, shutdown)
+                if core.jobs == 1 or len(work) <= 1
+                else _pool_batches(core, work, shutdown, faults, quarantine_file)
+            )
+            for batch in batches:
+                for key, payload, quarantined in batch:
+                    settle(key, payload, quarantined)
+                if appender is not None:
+                    appender.commit()
+            if shutdown.requested and done < len(requests):
+                raise BatchAborted(
+                    shutdown.signal_name or "signal", done, len(requests), checkpoint
+                )
+    finally:
+        if appender is not None:
+            appender.close()
+            faults.checkpoint_io_errors += appender.io_errors
+        if quarantine_file is not None:
+            quarantine_file.close()
+            faults.checkpoint_io_errors += quarantine_file.io_errors
+        if cache is not None:
+            faults.cache_corrupt += cache.corrupt - cache_before[2]
+            faults.cache_io_errors += cache.io_errors - cache_before[3]
+        if metrics is not None:
+            # The main-process kernel delta covers the inline path (and
+            # is zero under a pool); worker deltas were folded in per
+            # chunk.  Folding in ``finally`` means an aborted run still
+            # flushes everything it measured.
+            metrics.record_kernel_perf(PERF.delta_since(perf_before))
+            metrics.record_batch_stats(stats.to_dict())
+            metrics.record_fault_stats(faults.to_dict())
+            if cache is not None:
+                metrics.record_cache(
+                    cache.hits - cache_before[0], cache.misses - cache_before[1]
+                )
+            metrics.timing("batch.wall_seconds", time.perf_counter() - t_run)
+
+    settled: List[ReportPayload] = []
+    for index, payload in enumerate(payloads):
+        if payload is None:  # unreachable unless settle logic regresses
+            raise RuntimeError(
+                f"batch item {index} ({requests[index].key}) never settled"
+            )
+        settled.append(payload)
+    return settled
+
+
+def _inline_batches(
+    core: "WorkQueueCore", work: Sequence[_ChunkItem], shutdown: GracefulShutdown
+) -> Iterator[_Batch]:
+    """Evaluate in the calling process: item by item, or in population chunks."""
+    grouped = core.population and len(work) > 1
+    size = _chunk_size(len(work), core.jobs, core.chunk_size) if grouped else 1
+    for start in range(0, len(work), size):
+        if shutdown.requested:
+            return
+        chunk = work[start : start + size]
+        t0 = time.perf_counter()
+        payloads = evaluate_chunk(chunk, grouped)
+        yield [(key, payload, False) for (key, _), payload in zip(chunk, payloads)]
+        if core.metrics is not None:
+            core.metrics.record_chunk("inline", len(chunk), time.perf_counter() - t0)
+
+
+def _chunk_deadline(chunk: List[_Tracked], now: float) -> Optional[float]:
+    """Watchdog deadline for a chunk, or None when any item opts out."""
+    total = 0.0
+    for item in chunk:
+        timeout = item.policy.timeout
+        if timeout is None:
+            return None
+        total += timeout
+    return now + total + _TIMEOUT_GRACE
+
+
+def _pool_batches(
+    core: "WorkQueueCore",
+    work: Sequence[_ChunkItem],
+    shutdown: GracefulShutdown,
+    faults: FaultStats,
+    quarantine_file: Optional[Quarantine],
+) -> Iterator[_Batch]:
+    """Evaluate on the core's supervised pool; one batch per settled chunk.
+
+    Items that exhaust their attempts settle as quarantine failure
+    reports (recorded in ``quarantine_file`` when configured).  A drain
+    request kills the pool and stops without settling in-flight work.
+    """
+    pool, metrics = core.pool, core.metrics
+    tracked = [
+        _Tracked(
+            key=key,
+            request=request,
+            policy=request.retry if request.retry is not None else core.retry,
+        )
+        for key, request in work
+    ]
+    size = _chunk_size(len(tracked), core.jobs, core.chunk_size)
+    ready: Deque[List[_Tracked]] = deque(
+        tracked[i : i + size] for i in range(0, len(tracked), size)
+    )
+    delayed: List[Tuple[float, List[_Tracked]]] = []
+    solitary: Deque[_Tracked] = deque()
+    exhausted: _Batch = []
+    in_flight: Dict["Future[Tuple[List[ReportPayload], WorkerMeta]]", _Flight] = {}
+    trace_enabled = trace.is_enabled()
+    executor: Optional[ProcessPoolExecutor] = None
+    consecutive_rebuilds = 0
+
+    def quarantine(item: _Tracked) -> None:
+        last = item.attempts[-1] if item.attempts else None
+        failure = AnalysisFailure(
+            stage="quarantine",
+            error_type=last["error_type"] if last else "Unknown",
+            message=(
+                f"quarantined after {item.counted} counted attempts "
+                f"({len(item.attempts)} recorded: "
+                + ", ".join(a["stage"] for a in item.attempts)
+                + ")"
+            ),
+        )
+        if quarantine_file is not None:
+            quarantine_file.record(item.key, item.request.taskset.name, item.attempts)
+        report = AnalysisReport.failed(item.request, failure)
+        exhausted.append((item.key, report.to_dict(), True))
+
+    def requeue(item: _Tracked, delay: float) -> None:
+        """Route one item back into the right queue (or quarantine)."""
+        if item.exhausted():
+            quarantine(item)
+            return
+        item.solitary = item.solitary or item.suspect_breaks >= _SUSPECT_THRESHOLD
+        if item.solitary:
+            solitary.append(item)
+        elif delay > 0.0:
+            delayed.append((time.perf_counter() + delay, [item]))
+        else:
+            ready.append([item])
+
+    def break_pool(culprit_known: bool) -> None:
+        """Kill + forget the pool; requeue everything in flight once."""
+        nonlocal executor, consecutive_rebuilds
+        faults.pool_rebuilds += 1
+        consecutive_rebuilds += 1
+        if executor is not None:
+            pool.discard(executor)
+            executor = None
+        collateral = list(in_flight.values())
+        in_flight.clear()
+        for flight in collateral:
+            for item in flight.chunk:
+                # Exactly-once requeue per break: the item goes back
+                # into a queue a single time, as a singleton so one
+                # bad chunk-mate cannot keep dragging it down.
+                item.record("pool", None, counted=False)
+                if not culprit_known:
+                    item.suspect_breaks += 1
+                requeue(item, 0.0)
+        if consecutive_rebuilds > _MAX_CONSECUTIVE_REBUILDS:
+            raise RuntimeError(
+                f"process pool broke {consecutive_rebuilds} times without "
+                f"settling a single chunk; infrastructure is unusable"
+            )
+
+    def submit(chunk: List[_Tracked], is_solitary: bool) -> None:
+        """Submit one chunk; a pool broken at submit time requeues it."""
+        nonlocal executor
+        if executor is None:
+            executor = pool.acquire()
+        items: List[_ChunkItem] = [(item.key, item.request) for item in chunk]
+        try:
+            future = executor.submit(
+                _worker_chunk, items, trace_enabled, core.injection, core.population
+            )
+        except BrokenProcessPool:
+            # The chunk never ran: requeue it for free, recycle the
+            # pool, and charge the break to whatever was in flight.
+            if is_solitary:
+                solitary.extendleft(reversed(chunk))
+            else:
+                ready.appendleft(chunk)
+            break_pool(culprit_known=False)
+            return
+        in_flight[future] = _Flight(
+            chunk=chunk,
+            deadline=_chunk_deadline(chunk, time.perf_counter()),
+            solitary=is_solitary,
+        )
+
+    def handle_failure(flight: _Flight, error: BaseException) -> None:
+        """A chunk future completed exceptionally (pool still alive)."""
+        chunk = flight.chunk
+        if len(chunk) > 1:
+            # Culprit unknown inside the chunk: isolate to singletons
+            # without charging anyone an attempt yet.
+            for item in chunk:
+                item.record("isolate", error, counted=False)
+                requeue(item, 0.0)
+            return
+        item = chunk[0]
+        stage = "worker" if flight.solitary else "compute"
+        item.record(stage, error, counted=True)
+        faults.retries += 1
+        requeue(item, item.policy.delay(item.key, item.counted))
+
+    while ready or delayed or solitary or in_flight or exhausted:
+        if exhausted:
+            batch = list(exhausted)
+            exhausted.clear()
+            yield batch
+        if shutdown.requested:
+            if executor is not None:
+                pool.discard(executor)
+            return
+
+        now = time.perf_counter()
+        if delayed:
+            due = [chunk for when, chunk in delayed if when <= now]
+            delayed[:] = [(when, c) for when, c in delayed if when > now]
+            ready.extend(due)
+
+        # Fill the window: at most ``jobs`` chunks in flight, so every
+        # submitted chunk is actually running and its watchdog deadline
+        # measures work, not queueing.  Solitary items run strictly
+        # alone — the next pool break convicts them beyond doubt.
+        while ready and len(in_flight) < core.jobs:
+            submit(ready.popleft(), is_solitary=False)
+        if not ready and not delayed and not in_flight and solitary:
+            submit([solitary.popleft()], is_solitary=True)
+
+        if not in_flight:
+            if delayed and not ready:
+                next_due = min(when for when, _chunk in delayed)
+                time.sleep(
+                    min(max(next_due - time.perf_counter(), 0.0), _MAX_POLL_SECONDS)
+                )
+            continue
+
+        poll = _MAX_POLL_SECONDS
+        deadlines = [
+            flight.deadline
+            for flight in in_flight.values()
+            if flight.deadline is not None
+        ]
+        if deadlines:
+            poll = min(poll, max(min(deadlines) - time.perf_counter(), 0.01))
+        finished, _pending = wait(
+            set(in_flight), timeout=poll, return_when=FIRST_COMPLETED
+        )
+
+        broken = False
+        for future in finished:
+            flight = in_flight.pop(future)
+            error = future.exception()
+            if error is None:
+                payloads, meta = future.result()
+                consecutive_rebuilds = 0
+                if metrics is not None:
+                    metrics.record_chunk(
+                        f"pid{meta['pid']}", meta["items"], meta["seconds"]
+                    )
+                    metrics.record_kernel_perf(meta["perf"])
+                if meta["spans"]:
+                    trace.extend(meta["spans"])
+                yield [
+                    (item.key, payload, False)
+                    for item, payload in zip(flight.chunk, payloads)
+                ]
+            elif isinstance(error, BrokenProcessPool):
+                # The whole pool died; every in-flight chunk is a
+                # casualty and none of them is provably the cause.
+                for item in flight.chunk:
+                    item.record("pool", error, counted=flight.solitary)
+                    if flight.solitary:
+                        # Ran alone: the conviction is definitive.
+                        faults.retries += 1
+                        requeue(item, item.policy.delay(item.key, item.counted))
+                    else:
+                        item.suspect_breaks += 1
+                        requeue(item, 0.0)
+                broken = True
+            else:
+                handle_failure(flight, error)
+        if broken:
+            break_pool(culprit_known=False)
+            continue
+
+        # Watchdog: a chunk past its wall-clock deadline means a hung
+        # worker.  Kill the pool (the only way to reclaim the process),
+        # charge the expired chunk a timeout attempt, and requeue the
+        # innocent bystander chunks for free.
+        now = time.perf_counter()
+        expired = [
+            future
+            for future, flight in in_flight.items()
+            if flight.deadline is not None and now >= flight.deadline
+        ]
+        if expired:
+            faults.timeouts += len(expired)
+            for future in expired:
+                flight = in_flight.pop(future)
+                for item in flight.chunk:
+                    item.record(
+                        "timeout",
+                        TimeoutError(f"exceeded {item.policy.timeout}s/item watchdog"),
+                        counted=True,
+                    )
+                    faults.retries += 1
+                    requeue(item, item.policy.delay(item.key, item.counted))
+            break_pool(culprit_known=True)
+
+
+def map_items(
+    fn: Callable[[ItemT], ResultT],
+    items: Iterable[ItemT],
+    jobs: int,
+    progress: Optional[ProgressCallback] = None,
+) -> List[ResultT]:
+    """Map a picklable top-level function over items in ``jobs`` processes, in order.
+
+    No caching, checkpointing or failure capture — exceptions propagate
+    and the caller owns the item semantics.  A ``BrokenProcessPool``
+    rebuilds the pool and recomputes the not-yet-consumed tail, bounded
+    by the default :class:`~repro.pipeline.fault_tolerance.RetryPolicy`
+    attempt budget, so a dead worker does not end the sweep.
+    """
+    items = list(items)
+    retry = RetryPolicy()
+    size = _chunk_size(len(items), jobs, None)
+    results: List[ResultT] = []
+    breaks = 0
+    while len(results) < len(items):
+        remaining = items[len(results):]
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as executor:
+                for result in executor.map(fn, remaining, chunksize=size):
+                    results.append(result)
+                    if progress is not None:
+                        progress(len(results), len(items))
+        except BrokenProcessPool as error:
+            breaks += 1
+            if breaks >= retry.max_attempts:
+                raise RuntimeError(
+                    f"map_items pool broke {breaks} times; giving up"
+                ) from error
+            time.sleep(retry.delay("map_items", breaks))
+    return results

@@ -30,13 +30,13 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.api import (
-    BatchRunner,
     min_preparation_factor,
     min_speedup,
     min_speedup_margin,
     resetting_time,
 )
 from repro.model.taskset import TaskSet
+from repro.pipeline.runner import map_items
 from repro.model.transform import apply_uniform_scaling
 from repro.sim.degradation import DegradationPolicy, Rung
 from repro.sim.faults import FaultConfig
@@ -520,8 +520,7 @@ def run_suite(
     if progress is not None:
         def reporter(done: int, total: int) -> None:
             progress(f"{labels[done - 1]} [{done}/{total}]")
-    runner = BatchRunner(jobs=jobs, progress=reporter)
-    return runner.map_items(_run_scenario_item, items)
+    return map_items(_run_scenario_item, items, jobs, progress=reporter)
 
 
 def render(verdicts: Sequence[ResilienceVerdict]) -> str:

@@ -74,3 +74,34 @@ def random_implicit_taskset(rng: np.random.Generator, n_hi=2, n_lo=2, x=0.5, y=2
         c = float(rng.uniform(0.05, 0.15)) * period
         tasks.append(MCTask.lo(f"lo{i}", c, period, period))
     return apply_uniform_scaling(TaskSet(tasks, name="random"), x, y)
+
+
+def run_core(
+    requests,
+    *,
+    checkpoint=None,
+    resume=False,
+    progress=None,
+    install_signal_handlers=True,
+    **options,
+):
+    """One submission on a fresh :class:`WorkQueueCore`: ``(core, reports)``.
+
+    Helper (not a fixture).  ``options`` go to the constructor; the core
+    is closed before returning, and its ``stats``/``faults`` are exactly
+    this run's.
+    """
+    from repro.pipeline import WorkQueueCore
+
+    core = WorkQueueCore(**options)
+    try:
+        reports = core.run(
+            requests,
+            checkpoint=checkpoint,
+            resume=resume,
+            progress=progress,
+            install_signal_handlers=install_signal_handlers,
+        )
+    finally:
+        core.close()
+    return core, reports

@@ -1,7 +1,6 @@
-"""Public facade: repro.api, result protocol, deprecation shims, report I/O."""
+"""Public facade: repro.api, result protocol, removed shims, report I/O."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -126,40 +125,12 @@ class TestReportIO:
 
 
 class TestDeprecationShims:
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "min_speedup", "resetting_time", "system_schedulable",
-            "lo_mode_schedulable", "hi_mode_schedulable", "dbf_hi",
-            "dbf_lo", "adb_hi", "closed_form_speedup",
-            "closed_form_resetting_time", "min_preparation_factor",
-        ],
-    )
-    def test_old_top_level_name_warns_and_works(self, name):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            attr = getattr(repro, name)
-        assert any(
-            issubclass(w.category, DeprecationWarning) and name in str(w.message)
-            for w in caught
-        )
-        assert callable(attr)
-
-    def test_shimmed_function_matches_facade(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = repro.min_speedup(table1_taskset()).s_min
-        assert legacy == api.min_speedup(table1_taskset()).s_min
-
-    def test_new_surface_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            repro.analyze(table1_taskset())
-            api.min_speedup(table1_taskset())
+    """The pre-1.1 top-level analysis shims are gone; repro.api is the home."""
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
-            repro.definitely_not_an_export
+            repro.min_speedup
+        assert api.min_speedup(table1_taskset()).s_min == pytest.approx(4.0 / 3.0)
 
 
 class TestDemandCurve:

@@ -59,3 +59,20 @@ class TestAnalyze:
     def test_analyze_requires_file(self):
         with pytest.raises(SystemExit):
             main(["analyze"])
+
+
+class TestSubcommandFlags:
+    """Each subcommand accepts only its own flags; the rest exit 2."""
+
+    def test_flags_of_other_commands_are_rejected(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "fig3", "--tasksets", "/x", "--timeout", "-5",
+                "--rules", "XX", "--port", "1",
+            ])
+        assert excinfo.value.code == 2
+
+    def test_serve_rejects_batch_retry_flags(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--retries", "9", "--timeout", "5"])
+        assert excinfo.value.code == 2

@@ -1,7 +1,7 @@
 """Fault-tolerance machinery: retries, watchdog, durability, quarantine.
 
 Covers the primitives in :mod:`repro.pipeline.fault_tolerance` and the
-:class:`~repro.pipeline.runner.BatchRunner` recovery paths they feed:
+:class:`~repro.pipeline.core.WorkQueueCore` recovery paths they feed:
 deterministic backoff, CRC-durable lines, self-degrading appenders,
 kill-at-arbitrary-offset checkpoint recovery, broken-pool rebuild with
 exactly-once requeue, the hung-worker watchdog, poison-item quarantine
@@ -23,7 +23,6 @@ from repro.generator.taskgen import GeneratorConfig, generate_taskset
 from repro.io import save_taskset
 from repro.pipeline import (
     BatchAborted,
-    BatchRunner,
     CheckpointIO,
     InjectionSpec,
     Quarantine,
@@ -36,6 +35,7 @@ from repro.pipeline import (
 from repro.pipeline.chaos import FlakyIO
 from repro.pipeline.fault_tolerance import DurableAppender, claim
 from repro.pipeline.request import AnalysisRequest
+from tests.conftest import run_core
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +52,8 @@ def population():
 
 @pytest.fixture(scope="module")
 def baseline(population):
-    runner = BatchRunner(jobs=1, install_signal_handlers=False)
-    return [r.to_dict() for r in runner.run(population)]
+    _, reports = run_core(population, jobs=1, install_signal_handlers=False)
+    return [r.to_dict() for r in reports]
 
 
 def _dicts(reports):
@@ -202,14 +202,15 @@ class TestKillAtArbitraryOffset:
         self, tmp_path, population, baseline, fraction
     ):
         ck = tmp_path / "sweep.jsonl"
-        full = BatchRunner(jobs=1, checkpoint=ck, install_signal_handlers=False)
-        reference = full.run(population)
+        _, reference = run_core(
+            population, jobs=1, checkpoint=ck, install_signal_handlers=False
+        )
         raw = ck.read_bytes()
         ck.write_bytes(raw[: int(len(raw) * fraction)])
-        resumed = BatchRunner(
-            jobs=1, checkpoint=ck, resume=True, install_signal_handlers=False
+        resumed, reports = run_core(
+            population, jobs=1, checkpoint=ck, resume=True,
+            install_signal_handlers=False,
         )
-        reports = resumed.run(population)
         assert _dicts(reports) == _dicts(reference) == baseline
         assert resumed.stats.settled() == resumed.stats.total
         # Whole surviving lines resume; at most the torn tail recomputes.
@@ -218,8 +219,8 @@ class TestKillAtArbitraryOffset:
     def test_checkpoint_lines_are_fsynced_per_batch(self, tmp_path, population):
         """Every line in a completed checkpoint is whole and CRC-valid."""
         ck = tmp_path / "sweep.jsonl"
-        BatchRunner(jobs=1, checkpoint=ck, install_signal_handlers=False).run(
-            population[:6]
+        run_core(
+            population[:6], jobs=1, checkpoint=ck, install_signal_handlers=False
         )
         lines = ck.read_text().splitlines()
         assert len(lines) == 6
@@ -237,18 +238,18 @@ class TestPoolRecovery:
         armed.mkdir()
         victims = (population[3].key, population[10].key)
         spec = InjectionSpec(armed_dir=str(armed), kill_keys=victims)
-        runner = BatchRunner(
+        core, reports = run_core(
+            population,
             jobs=3,
             checkpoint=tmp_path / "ck.jsonl",
             retry=RetryPolicy(max_attempts=4, backoff_base=0.01, timeout=60.0),
             injection=spec,
             install_signal_handlers=False,
         )
-        reports = runner.run(population)
         assert _dicts(reports) == baseline
-        assert runner.faults.pool_rebuilds >= 1
-        assert runner.stats.settled() == runner.stats.total
-        assert runner.stats.quarantined == 0
+        assert core.faults.pool_rebuilds >= 1
+        assert core.stats.settled() == core.stats.total
+        assert core.stats.quarantined == 0
 
     def test_hung_worker_is_killed_by_watchdog(self, tmp_path, population, baseline):
         armed = tmp_path / "armed"
@@ -259,19 +260,19 @@ class TestPoolRecovery:
             hang_seconds=120.0,
         )
         t0 = time.perf_counter()
-        runner = BatchRunner(
+        core, reports = run_core(
+            population,
             jobs=3,
             retry=RetryPolicy(max_attempts=3, backoff_base=0.01, timeout=1.0),
             injection=spec,
             chunk_size=3,
             install_signal_handlers=False,
         )
-        reports = runner.run(population)
         assert time.perf_counter() - t0 < 60.0  # did not wait out the hang
         assert _dicts(reports) == baseline
-        assert runner.faults.timeouts >= 1
-        assert runner.faults.pool_rebuilds >= 1
-        assert runner.stats.settled() == runner.stats.total
+        assert core.faults.timeouts >= 1
+        assert core.faults.pool_rebuilds >= 1
+        assert core.stats.settled() == core.stats.total
 
     def test_poison_item_is_quarantined_not_fatal(
         self, tmp_path, population, baseline
@@ -280,16 +281,16 @@ class TestPoolRecovery:
         armed.mkdir()
         poison = population[7].key
         spec = InjectionSpec(armed_dir=str(armed), poison_keys=(poison,))
-        runner = BatchRunner(
+        core, reports = run_core(
+            population,
             jobs=3,
             quarantine=tmp_path / "q.jsonl",
             retry=RetryPolicy(max_attempts=3, backoff_base=0.01, timeout=60.0),
             injection=spec,
             install_signal_handlers=False,
         )
-        reports = runner.run(population)
-        assert runner.stats.quarantined == 1
-        assert runner.stats.settled() == runner.stats.total
+        assert core.stats.quarantined == 1
+        assert core.stats.settled() == core.stats.total
         mismatched = [
             i
             for i, (ref, rep) in enumerate(zip(baseline, _dicts(reports)))
@@ -309,35 +310,35 @@ class TestPoolRecovery:
         poison = population[2].key
         spec = InjectionSpec(armed_dir=str(armed), poison_keys=(poison,))
         ck = tmp_path / "ck.jsonl"
-        first = BatchRunner(
+        first, _ = run_core(
+            population[:6],
             jobs=2,
             checkpoint=ck,
             retry=RetryPolicy(max_attempts=2, backoff_base=0.01, timeout=60.0),
             injection=spec,
             install_signal_handlers=False,
         )
-        first.run(population[:6])
         assert first.stats.quarantined == 1
         # Resume without the fault: the item must be recomputed cleanly.
-        resumed = BatchRunner(
-            jobs=1, checkpoint=ck, resume=True, install_signal_handlers=False
+        resumed, reports = run_core(
+            population[:6], jobs=1, checkpoint=ck, resume=True,
+            install_signal_handlers=False,
         )
-        reports = resumed.run(population[:6])
         assert resumed.stats.computed == 1
         assert resumed.stats.resumed == 5
         assert all(r.failure is None for r in reports)
 
     def test_cache_write_errors_degrade_not_abort(self, tmp_path, population):
         cache = ResultCache(tmp_path / "cache", io=FlakyIO(fail_after=0))
-        runner = BatchRunner(
+        core, reports = run_core(
+            population[:4],
             jobs=1,
             cache=cache,
             retry=RetryPolicy(max_attempts=2, backoff_base=0.0, jitter=0.0),
             install_signal_handlers=False,
         )
-        reports = runner.run(population[:4])
         assert all(r.failure is None for r in reports)
-        assert runner.faults.cache_io_errors >= 4
+        assert core.faults.cache_io_errors >= 4
 
 
 class TestGracefulShutdown:
@@ -447,14 +448,16 @@ sys.exit(main([
 class TestCacheCorruption:
     def test_corrupt_cache_entry_degrades_to_miss(self, tmp_path, population):
         cache = ResultCache(tmp_path / "cache")
-        runner = BatchRunner(jobs=1, cache=cache, install_signal_handlers=False)
-        reference = runner.run(population[:3])
+        _, reference = run_core(
+            population[:3], jobs=1, cache=cache, install_signal_handlers=False
+        )
         key = population[0].key
         entry_file = tmp_path / "cache" / key[:2] / f"{key}.json"
         entry_file.write_text(entry_file.read_text()[:30])
         fresh = ResultCache(tmp_path / "cache")
-        rerun = BatchRunner(jobs=1, cache=fresh, install_signal_handlers=False)
-        reports = rerun.run(population[:3])
+        rerun, reports = run_core(
+            population[:3], jobs=1, cache=fresh, install_signal_handlers=False
+        )
         assert _dicts(reports) == _dicts(reference)
         assert fresh.corrupt == 1
         assert rerun.stats.cache_hits == 2
@@ -462,9 +465,7 @@ class TestCacheCorruption:
 
     def test_pre_checksum_entry_still_readable(self, tmp_path, population):
         cache = ResultCache(tmp_path / "cache")
-        BatchRunner(jobs=1, cache=cache, install_signal_handlers=False).run(
-            population[:1]
-        )
+        run_core(population[:1], jobs=1, cache=cache, install_signal_handlers=False)
         key = population[0].key
         entry_file = tmp_path / "cache" / key[:2] / f"{key}.json"
         wrapped = decode_durable_line(entry_file.read_text())

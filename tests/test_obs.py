@@ -1,7 +1,7 @@
 """Observability layer + batch-pipeline accounting regressions.
 
 Covers the span tracer and metrics registry in isolation, their wiring
-through the analysis stack and the batch runner (including determinism
+through the analysis stack and the work-queue core (including determinism
 across job counts), and the three checkpoint/accounting bugfixes this
 layer made visible:
 
@@ -26,16 +26,16 @@ from repro.experiments.table1 import table1_taskset
 from repro.generator.taskgen import GeneratorConfig, generate_taskset
 from repro.obs import MetricsRegistry, ProgressLine, format_eta, trace
 from repro.obs.trace import NULL_SPAN, TIMING_FIELDS, Tracer, strip_timing
+from repro.api import analyze_many
 from repro.pipeline import (
     AnalysisFailure,
     AnalysisReport,
     AnalysisRequest,
-    BatchRunner,
     ResultCache,
     decode_durable_line,
     evaluate_request,
-    run_batch,
 )
+from tests.conftest import run_core
 
 CHECKPOINT_VERSION = 1
 
@@ -249,7 +249,7 @@ class TestInstrumentation:
             kernels.clear_memo()
             kernels.clear_compile_cache()
             trace.enable()
-            BatchRunner(jobs=jobs).run(_fresh_requests(8))
+            analyze_many(_fresh_requests(8), jobs=jobs)
             trace.disable()
             spans = [strip_timing(r) for r in trace.drain()]
             return sorted(json.dumps(s, sort_keys=True) for s in spans)
@@ -258,18 +258,17 @@ class TestInstrumentation:
 
 
 # ---------------------------------------------------------------------------
-# Runner metrics: reconciliation and job-count invariance
+# Executor metrics: reconciliation and job-count invariance
 # ---------------------------------------------------------------------------
 class TestRunnerMetrics:
     def test_counters_reconcile_with_stats_and_cache(self, tmp_path):
         requests = _fresh_requests(6) + [_bad_request()] * 2
         cache = ResultCache(tmp_path / "cache")
-        BatchRunner(cache=cache).run(requests[:3])  # pre-warm 3 keys
+        analyze_many(requests[:3], cache=cache)  # pre-warm 3 keys
 
         m = MetricsRegistry()
-        runner = BatchRunner(cache=cache, metrics=m)
-        runner.run(requests)
-        stats = runner.stats
+        core, _ = run_core(requests, cache=cache, metrics=m)
+        stats = core.stats
         counters = m.snapshot()["counters"]
         assert counters["batch.total"] == stats.total == len(requests)
         assert counters["batch.computed"] == stats.computed == 4
@@ -288,7 +287,7 @@ class TestRunnerMetrics:
             kernels.clear_memo()
             kernels.clear_compile_cache()
             m = MetricsRegistry()
-            BatchRunner(jobs=jobs, metrics=m).run(_fresh_requests(10))
+            run_core(_fresh_requests(10), jobs=jobs, metrics=m)
             return MetricsRegistry.strip_timing(m.snapshot())
 
         assert snapshot(1) == snapshot(4)
@@ -297,7 +296,7 @@ class TestRunnerMetrics:
         kernels.clear_memo()
         kernels.clear_compile_cache()
         m = MetricsRegistry()
-        BatchRunner(metrics=m).run(_fresh_requests(3))
+        run_core(_fresh_requests(3), metrics=m)
         counters = m.snapshot()["counters"]
         assert counters["kernels.kernel_evals"] > 0
         assert counters["kernels.compiles"] == 3
@@ -324,10 +323,9 @@ class TestWorkerFailureResume:
         ck = tmp_path / "ck.jsonl"
         ck.write_text(json.dumps(self._worker_failure_entry(request)) + "\n")
 
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        (report,) = runner.run([request])
-        assert runner.stats.resumed == 0
-        assert runner.stats.computed == 1
+        core, (report,) = run_core([request], checkpoint=ck, resume=True)
+        assert core.stats.resumed == 0
+        assert core.stats.computed == 1
         assert report.failure is None
         # The recomputed verdict replaced the transient entry on disk
         # (rewritten in the CRC-framed durable format).
@@ -340,11 +338,10 @@ class TestWorkerFailureResume:
         # Counterpart: a *verdict* failure (analysis stage) stays final.
         bad = _bad_request()
         ck = tmp_path / "ck.jsonl"
-        first = run_batch([bad], checkpoint=ck)[0]
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        (second,) = runner.run([bad])
-        assert runner.stats.resumed == 1
-        assert runner.stats.computed == 0
+        first = analyze_many([bad], checkpoint=ck)[0]
+        core, (second,) = run_core([bad], checkpoint=ck, resume=True)
+        assert core.stats.resumed == 1
+        assert core.stats.computed == 0
         assert second.to_dict() == first.to_dict()
 
     def test_worker_entry_acts_as_deletion_of_earlier_success(self, tmp_path):
@@ -352,15 +349,14 @@ class TestWorkerFailureResume:
         # the same key (last-wins semantics extend to deletions).
         request = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
         ck = tmp_path / "ck.jsonl"
-        run_batch([request], checkpoint=ck)
+        analyze_many([request], checkpoint=ck)
         good_line = ck.read_text()
         ck.write_text(
             good_line + json.dumps(self._worker_failure_entry(request)) + "\n"
         )
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        runner.run([request])
-        assert runner.stats.resumed == 0
-        assert runner.stats.computed == 1
+        core, _ = run_core([request], checkpoint=ck, resume=True)
+        assert core.stats.resumed == 0
+        assert core.stats.computed == 1
 
 
 # ---------------------------------------------------------------------------
@@ -370,23 +366,20 @@ class TestFailureAccounting:
     def test_cache_hit_failure_counts(self, tmp_path):
         bad = _bad_request()
         cache = ResultCache(tmp_path / "cache")
-        first = BatchRunner(cache=cache)
-        first.run([bad])
+        first, _ = run_core([bad], cache=cache)
         assert first.stats.failures == 1
 
-        second = BatchRunner(cache=cache)
-        second.run([bad])
+        second, _ = run_core([bad], cache=cache)
         assert second.stats.cache_hits == 1
         assert second.stats.failures == 1
 
     def test_resumed_failure_counts(self, tmp_path):
         bad = _bad_request()
         ck = tmp_path / "ck.jsonl"
-        run_batch([bad], checkpoint=ck)
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        runner.run([bad])
-        assert runner.stats.resumed == 1
-        assert runner.stats.failures == 1
+        analyze_many([bad], checkpoint=ck)
+        core, _ = run_core([bad], checkpoint=ck, resume=True)
+        assert core.stats.resumed == 1
+        assert core.stats.failures == 1
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +390,8 @@ class TestCheckpointHygiene:
         ck = tmp_path / "ck.jsonl"
         old = AnalysisRequest(taskset=table1_taskset(), speedup=1.5)
         new = AnalysisRequest(taskset=table1_taskset(), speedup=3.0)
-        run_batch([old], checkpoint=ck)
-        run_batch([new], checkpoint=ck)  # resume=False: must truncate
+        analyze_many([old], checkpoint=ck)
+        analyze_many([new], checkpoint=ck)  # resume=False: must truncate
         lines = ck.read_text().splitlines()
         assert len(lines) == 1
         assert decode_durable_line(lines[0])["key"] == new.key
@@ -406,7 +399,7 @@ class TestCheckpointHygiene:
     def test_resume_compacts_duplicate_keys_last_wins(self, tmp_path):
         request = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
         ck = tmp_path / "ck.jsonl"
-        run_batch([request], checkpoint=ck)
+        analyze_many([request], checkpoint=ck)
         (good_line,) = ck.read_text().splitlines()
         stale = decode_durable_line(good_line)
         stale["report"] = dict(stale["report"])
@@ -419,9 +412,8 @@ class TestCheckpointHygiene:
         # (A bare legacy line: resume accepts both framings.)
         ck.write_text(json.dumps(stale) + "\n" + good_line + "\n")
 
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        (report,) = runner.run([request])
-        assert runner.stats.resumed == 1
+        core, (report,) = run_core([request], checkpoint=ck, resume=True)
+        assert core.stats.resumed == 1
         assert report.failure is None
         lines = ck.read_text().splitlines()
         assert len(lines) == 1  # compacted
@@ -433,11 +425,10 @@ class TestCheckpointHygiene:
             for s in (1.5, 2.0, 3.0)
         ]
         ck = tmp_path / "ck.jsonl"
-        run_batch(requests[:1], checkpoint=ck)
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        runner.run(requests)
-        assert runner.stats.resumed == 1
-        assert runner.stats.computed == 2
+        analyze_many(requests[:1], checkpoint=ck)
+        core, _ = run_core(requests, checkpoint=ck, resume=True)
+        assert core.stats.resumed == 1
+        assert core.stats.computed == 2
         lines = ck.read_text().splitlines()
         assert len(lines) == 3
         assert {decode_durable_line(line)["key"] for line in lines} == {

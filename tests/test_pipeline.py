@@ -11,18 +11,19 @@ from repro.experiments.table1 import table1_degraded_taskset, table1_taskset
 from repro.generator.taskgen import GeneratorConfig, generate_taskset
 from repro.model.task import Criticality, MCTask
 from repro.model.taskset import TaskSet
+from repro.api import analyze_many
 from repro.pipeline import (
     AnalysisReport,
     AnalysisRequest,
-    BatchRunner,
     ResultCache,
     decode_durable_line,
     encode_durable_line,
+    evaluate_captured,
     evaluate_request,
     request_fingerprint,
-    run_batch,
     taskset_fingerprint,
 )
+from tests.conftest import run_core
 
 
 @pytest.fixture(scope="module")
@@ -87,31 +88,28 @@ class TestFingerprint:
 
 class TestDeterminism:
     def test_serial_and_parallel_reports_identical(self, population_requests):
-        serial = BatchRunner(jobs=1).run(population_requests)
-        parallel = BatchRunner(jobs=4).run(population_requests)
+        serial = analyze_many(population_requests, jobs=1)
+        parallel = analyze_many(population_requests, jobs=4)
         assert _dicts(serial) == _dicts(parallel)
 
     def test_reports_in_request_order(self, population, population_requests):
-        reports = BatchRunner(jobs=4).run(population_requests)
+        reports = analyze_many(population_requests, jobs=4)
         assert [r.name for r in reports] == [ts.name for ts in population]
 
     def test_duplicate_requests_computed_once(self):
         req = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
-        runner = BatchRunner(jobs=1)
-        reports = runner.run([req, req, req])
-        assert runner.stats.computed == 1
-        assert runner.stats.total == 3
+        core, reports = run_core([req, req, req], jobs=1)
+        assert core.stats.computed == 1
+        assert core.stats.total == 3
         assert len({json.dumps(d, sort_keys=True) for d in _dicts(reports)}) == 1
 
 
 class TestCache:
     def test_second_run_recomputes_nothing(self, tmp_path, population_requests):
         cache = ResultCache(tmp_path / "cache")
-        first = BatchRunner(jobs=1, cache=cache)
-        reports1 = first.run(population_requests[:50])
+        first, reports1 = run_core(population_requests[:50], jobs=1, cache=cache)
         assert first.stats.computed == 50
-        second = BatchRunner(jobs=1, cache=cache)
-        reports2 = second.run(population_requests[:50])
+        second, reports2 = run_core(population_requests[:50], jobs=1, cache=cache)
         assert second.stats.computed == 0
         assert second.stats.cache_hits == 50
         assert _dicts(reports1) == _dicts(reports2)
@@ -119,18 +117,17 @@ class TestCache:
     def test_disk_survives_memory_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         req = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
-        r1 = BatchRunner(cache=cache).run([req])
+        _, r1 = run_core([req], cache=cache)
         cache.clear_memory()
         assert len(cache) == 0
-        runner = BatchRunner(cache=cache)
-        r2 = runner.run([req])
-        assert runner.stats.cache_hits == 1
+        core, r2 = run_core([req], cache=cache)
+        assert core.stats.cache_hits == 1
         assert _dicts(r1) == _dicts(r2)
 
     def test_memory_only_cache(self):
         cache = ResultCache()
         req = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
-        BatchRunner(cache=cache).run([req])
+        run_core([req], cache=cache)
         assert len(cache) == 1
         assert cache.directory is None
 
@@ -139,16 +136,14 @@ class TestCheckpointResume:
     def test_resume_after_simulated_kill(self, tmp_path, population_requests):
         requests = population_requests[:40]
         ck = tmp_path / "sweep.jsonl"
-        full = BatchRunner(jobs=1, checkpoint=ck)
-        reference = full.run(requests)
+        full, reference = run_core(requests, jobs=1, checkpoint=ck)
         lines = ck.read_text().splitlines()
         assert len(lines) == full.stats.computed
 
         # Simulate a mid-batch kill: keep only the first 15 completed
         # items (plus a torn final line, as a killed append would leave).
         ck.write_text("\n".join(lines[:15]) + "\n" + lines[15][: len(lines[15]) // 2])
-        resumed = BatchRunner(jobs=1, checkpoint=ck, resume=True)
-        reports = resumed.run(requests)
+        resumed, reports = run_core(requests, jobs=1, checkpoint=ck, resume=True)
         assert resumed.stats.resumed == 15
         assert resumed.stats.computed == full.stats.computed - 15
         assert _dicts(reports) == _dicts(reference)
@@ -159,37 +154,34 @@ class TestCheckpointResume:
             for s in (1.5, 2.0, 3.0)
         ]
         ck = tmp_path / "done.jsonl"
-        BatchRunner(checkpoint=ck).run(requests)
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        runner.run(requests)
-        assert runner.stats.computed == 0
-        assert runner.stats.resumed == 3
+        run_core(requests, checkpoint=ck)
+        core, _ = run_core(requests, checkpoint=ck, resume=True)
+        assert core.stats.computed == 0
+        assert core.stats.resumed == 3
 
     def test_unknown_checkpoint_version_is_skipped(self, tmp_path):
         req = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
         ck = tmp_path / "old.jsonl"
-        BatchRunner(checkpoint=ck).run([req])
+        run_core([req], checkpoint=ck)
         entry = decode_durable_line(ck.read_text())
         entry["checkpoint_version"] = 99
         # Re-wrap with a valid CRC: the version check alone must reject it.
         ck.write_text(encode_durable_line(entry) + "\n")
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        runner.run([req])
-        assert runner.stats.resumed == 0
-        assert runner.stats.computed == 1
+        core, _ = run_core([req], checkpoint=ck, resume=True)
+        assert core.stats.resumed == 0
+        assert core.stats.computed == 1
 
     def test_legacy_uncrc_checkpoint_line_still_resumes(self, tmp_path):
         req = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
         ck = tmp_path / "legacy.jsonl"
-        BatchRunner(checkpoint=ck).run([req])
+        run_core([req], checkpoint=ck)
         # Strip the CRC wrapper, leaving a v1-era bare entry line.
         entry = decode_durable_line(ck.read_text())
         entry["checkpoint_version"] = 1
         ck.write_text(json.dumps(entry) + "\n")
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        runner.run([req])
-        assert runner.stats.resumed == 1
-        assert runner.stats.computed == 0
+        core, _ = run_core([req], checkpoint=ck, resume=True)
+        assert core.stats.resumed == 1
+        assert core.stats.computed == 0
 
     def test_corrupt_checkpoint_line_is_recomputed(self, tmp_path):
         requests = [
@@ -197,7 +189,7 @@ class TestCheckpointResume:
             for s in (1.5, 2.0, 3.0)
         ]
         ck = tmp_path / "flip.jsonl"
-        reference = BatchRunner(checkpoint=ck).run(requests)
+        _, reference = run_core(requests, checkpoint=ck)
         lines = ck.read_text().splitlines()
         # Flip one character inside the middle line's entry: the CRC
         # must catch it and that item must be recomputed, not trusted.
@@ -205,11 +197,10 @@ class TestCheckpointResume:
         if bad == lines[1]:
             bad = lines[1][:-20] + "X" + lines[1][-19:]
         ck.write_text("\n".join([lines[0], bad, lines[2]]) + "\n")
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        reports = runner.run(requests)
-        assert runner.stats.resumed == 2
-        assert runner.stats.computed == 1
-        assert runner.faults.checkpoint_corrupt_lines == 1
+        core, reports = run_core(requests, checkpoint=ck, resume=True)
+        assert core.stats.resumed == 2
+        assert core.stats.computed == 1
+        assert core.faults.checkpoint_corrupt_lines == 1
         assert _dicts(reports) == _dicts(reference)
 
 
@@ -218,7 +209,7 @@ class TestErrorCapture:
         req = AnalysisRequest(
             taskset=table1_taskset(), speedup=2.0, max_candidates=1
         )
-        report = run_batch([req])[0]
+        report = analyze_many([req])[0]
         assert report.failure is not None
         assert report.failure.error_type == "AnalysisBudgetExceeded"
         assert not report.ok
@@ -229,9 +220,8 @@ class TestErrorCapture:
         bad = AnalysisRequest(
             taskset=table1_taskset(), speedup=2.0, max_candidates=1
         )
-        runner = BatchRunner(jobs=1)
-        reports = runner.run([bad, good, bad])
-        assert runner.stats.failures == 1  # bad deduplicates to one computation
+        core, reports = run_core([bad, good, bad], jobs=1)
+        assert core.stats.failures == 1  # bad deduplicates to one computation
         assert reports[1].failure is None
         assert reports[1].ok
         assert reports[0].to_dict() == reports[2].to_dict()
@@ -241,9 +231,8 @@ class TestErrorCapture:
             taskset=table1_taskset(), speedup=2.0, max_candidates=1
         )
         ck = tmp_path / "fail.jsonl"
-        first = run_batch([bad], checkpoint=ck)[0]
-        resumed = BatchRunner(checkpoint=ck, resume=True)
-        second = resumed.run([bad])[0]
+        first = analyze_many([bad], checkpoint=ck)[0]
+        resumed, (second,) = run_core([bad], checkpoint=ck, resume=True)
         assert resumed.stats.resumed == 1
         assert second.to_dict() == first.to_dict()
 
@@ -251,8 +240,10 @@ class TestErrorCapture:
 class TestProgress:
     def test_progress_reaches_total(self, population_requests):
         seen = []
-        BatchRunner(jobs=1, progress=lambda done, total: seen.append((done, total))).run(
-            population_requests[:10]
+        analyze_many(
+            population_requests[:10],
+            jobs=1,
+            progress=lambda done, total: seen.append((done, total)),
         )
         assert seen[-1] == (10, 10)
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
@@ -260,11 +251,11 @@ class TestProgress:
     def test_progress_counts_cache_hits(self):
         cache = ResultCache()
         req = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
-        BatchRunner(cache=cache).run([req])
+        analyze_many([req], cache=cache)
         seen = []
-        BatchRunner(
-            cache=cache, progress=lambda done, total: seen.append((done, total))
-        ).run([req])
+        analyze_many(
+            [req], cache=cache, progress=lambda done, total: seen.append((done, total))
+        )
         assert seen == [(1, 1)]
 
 
@@ -325,7 +316,7 @@ class TestReportShape:
 
 
 # ---------------------------------------------------------------------------
-# Work-queue core: the refactor seam shared by the CLI and the service
+# Work-queue core: the one executor behind the CLI, the figures and the service
 # ---------------------------------------------------------------------------
 
 
@@ -354,13 +345,13 @@ class TestBatchStatsMerge:
 
 
 class TestWorkQueueCore:
-    def test_run_byte_identical_to_batch_runner(self, population_requests):
-        """The non-regression proof of the runner refactor: the shared
-        core produces byte-identical reports to a direct BatchRunner on
-        the seeded 200-set population."""
+    def test_run_byte_identical_to_direct_evaluation(self, population_requests):
+        """The non-regression proof of the executor: the core's reports
+        are byte-identical to evaluating each request directly on the
+        seeded 200-set population."""
         from repro.pipeline import WorkQueueCore
 
-        direct = BatchRunner(jobs=1).run(population_requests)
+        direct = [evaluate_captured(request) for request in population_requests]
         core = WorkQueueCore(jobs=1)
         try:
             via_core = core.run(population_requests)
@@ -369,6 +360,21 @@ class TestWorkQueueCore:
         assert json.dumps(_dicts(via_core), sort_keys=True) == json.dumps(
             _dicts(direct), sort_keys=True
         )
+
+    def test_analyze_many_leaves_no_worker_processes(self, population_requests):
+        """The one-shot core behind analyze_many shuts its pool down:
+        no worker process of the call outlives it."""
+        import multiprocessing
+
+        before = {child.pid for child in multiprocessing.active_children()}
+        reports = analyze_many(population_requests[:8], jobs=2)
+        assert len(reports) == 8
+        leaked = [
+            child.pid
+            for child in multiprocessing.active_children()
+            if child.pid not in before
+        ]
+        assert leaked == []
 
     def test_submit_settles_with_per_job_invariant(self, population_requests):
         from repro.pipeline import WorkQueueCore

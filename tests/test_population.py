@@ -30,7 +30,7 @@ from repro.model.task import MCTask
 from repro.model.taskset import TaskSet
 from repro.model.transform import apply_uniform_scaling
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline import AnalysisRequest, BatchRunner
+from repro.pipeline import AnalysisRequest
 
 
 def _clear_caches() -> None:
@@ -217,9 +217,9 @@ class TestGroupedPipeline:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_grouped_reports_byte_identical(self, pipeline_requests, jobs):
         _clear_caches()
-        plain = BatchRunner(jobs=jobs).run(pipeline_requests)
+        plain = api.analyze_many(pipeline_requests, jobs=jobs)
         _clear_caches()
-        grouped = BatchRunner(jobs=jobs, population=True).run(pipeline_requests)
+        grouped = api.analyze_many(pipeline_requests, jobs=jobs, population=True)
         assert [r.to_dict() for r in plain] == [r.to_dict() for r in grouped]
 
     def test_analyze_many_population_flag(self, pipeline_requests):
@@ -252,7 +252,11 @@ class TestCounters:
         ]
         _clear_caches()
         metrics = MetricsRegistry()
-        BatchRunner(jobs=1, population=True, metrics=metrics).run(requests)
+        core = api.WorkQueueCore(jobs=1, population=True, metrics=metrics)
+        try:
+            core.run(requests)
+        finally:
+            core.close()
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["kernels.population_batches"] >= 1
         assert snapshot["counters"]["kernels.population_sets"] >= 10
