@@ -62,12 +62,11 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union, cast
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 
 from repro.analysis import points as pts
-from repro.analysis.budget import CandidateBudget
 from repro.analysis.dbf import (
     FLOOR_SLACK,
     adb_hi_excess_bound,
@@ -77,6 +76,7 @@ from repro.analysis.dbf import (
     total_dbf_hi,
     total_dbf_lo,
 )
+from repro.analysis.scan import drive, total_demand
 from repro.model.fingerprint import digest_task_rows, taskset_fingerprint
 from repro.model.task import Criticality, ModelError
 from repro.model.taskset import TaskSet
@@ -220,6 +220,140 @@ def perf_snapshot() -> Dict[str, Any]:
 def perf_reset() -> None:
     """Zero :data:`PERF` (benchmarks call this between timed passes)."""
     PERF.reset()
+
+
+# ---------------------------------------------------------------------------
+# Stripe-pruned window evaluation, as routines over demand probes
+# ---------------------------------------------------------------------------
+def _first_peak(demand: np.ndarray, points: np.ndarray) -> Tuple[float, float]:
+    """``(ratio, delta)`` of the first maximum of ``demand / points``."""
+    ratios = demand / points
+    idx = int(np.argmax(ratios))
+    return float(ratios[idx]), float(points[idx])
+
+
+def _supply_line(points: np.ndarray, speed: float, rtol: float) -> np.ndarray:
+    """The LO-mode supply threshold ``speed * Delta`` with its tolerance."""
+    return speed * points * (1.0 + rtol) + rtol
+
+
+def _lo_supply_holds(
+    demand: np.ndarray, points: np.ndarray, speed: float, rtol: float
+) -> bool:
+    """True when no ``demand`` value exceeds the supply line at ``points``."""
+    return not bool(np.any(demand > _supply_line(points, speed, rtol)))
+
+
+def _stripes(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every ``_STRIPE``-th index (plus the last) and its stripe's start."""
+    coarse = np.arange(_STRIPE - 1, m, _STRIPE)
+    if coarse[-1] != m - 1:
+        coarse = np.append(coarse, m - 1)
+    starts = np.empty(coarse.size, dtype=np.int64)
+    starts[0] = 0
+    starts[1:] = coarse[:-1] + 1
+    return coarse, starts
+
+
+def _interior(
+    coarse: np.ndarray, starts: np.ndarray, live_idx: np.ndarray
+) -> Optional[np.ndarray]:
+    """Indices strictly inside the live stripes (``None`` when empty)."""
+    segments = [np.arange(starts[j], coarse[j], dtype=np.int64) for j in live_idx]
+    segments = [seg for seg in segments if seg.size]
+    return np.concatenate(segments) if segments else None
+
+
+def _peak_probes(
+    candidates: np.ndarray, best_ratio: float
+) -> Generator[np.ndarray, np.ndarray, Tuple[float, float]]:
+    """Stripe-pruned peak of ``DBF_HI(Delta) / Delta`` over ``candidates``.
+
+    A routine over demand probes: it yields the points whose ``DBF_HI``
+    it needs and receives their demand, so
+    :meth:`CompiledTaskSet.window_peak` (its own kernel) and the
+    population driver (one fused call per probe round) run the same
+    pruning.  Returns ``(ratio, delta)`` for the first candidate
+    attaining the maximum ratio *among the candidates whose demand was
+    evaluated*.  Demand is evaluated at every ``_STRIPE``-th breakpoint
+    first; a stripe of in-between candidates is only filled in when its
+    upper bound ``DBF_HI(c_right) / Delta_first`` (demand is
+    nondecreasing, division is monotone) can still reach
+    ``max(best_ratio, coarse peak)`` within the ``_PRUNE_GUARD`` margin.
+    Every skipped candidate therefore has a ratio strictly below both
+    the running best and this window's maximum, so the supremum scan's
+    ``(best_ratio, best_delta)`` trajectory — including first-argmax
+    tie-breaking — is bit-identical to the scalar engine's exhaustive
+    evaluation.
+    """
+    m = candidates.size
+    if m < 3 * _STRIPE:
+        return _first_peak((yield candidates), candidates)
+    coarse, starts = _stripes(m)
+    d_coarse = yield candidates[coarse]
+    r_coarse = d_coarse / candidates[coarse]
+    at_coarse = int(np.argmax(r_coarse))
+    coarse_peak = float(r_coarse[at_coarse])
+    best_eff = best_ratio if best_ratio > coarse_peak else coarse_peak
+    bounds = d_coarse / candidates[starts]
+    live_idx = np.flatnonzero(bounds * (1.0 + _PRUNE_GUARD) >= best_eff)
+    if live_idx.size == coarse.size:
+        return _first_peak((yield candidates), candidates)
+    interior = _interior(coarse, starts, live_idx)
+    peak = coarse_peak
+    peak_index = int(coarse[at_coarse])
+    if interior is None:
+        PERF.pruned += int(m - coarse.size)
+        return peak, float(candidates[peak_index])
+    r_interior = (yield candidates[interior]) / candidates[interior]
+    at = int(np.argmax(r_interior))
+    # Exact tie-break: on ratio equality prefer the earlier breakpoint so
+    # the pruned scan reports the same critical delta as the scalar
+    # oracle's left-to-right argmax.
+    if float(r_interior[at]) > peak or (
+        float(r_interior[at]) == peak  # repro-lint: ignore[RL002] first-strict-maximum tie-break is exact by spec
+        and int(interior[at]) < peak_index
+    ):
+        peak = float(r_interior[at])
+        peak_index = int(interior[at])
+    PERF.pruned += int(m - coarse.size - interior.size)
+    return peak, float(candidates[peak_index])
+
+
+def _lo_probes(
+    candidates: np.ndarray, speed: float, rtol: float
+) -> Generator[np.ndarray, np.ndarray, bool]:
+    """Stripe-pruned ``DBF_LO(Delta) <= speed * Delta`` over ``candidates``.
+
+    The boolean analogue of :func:`_peak_probes`, a routine over
+    ``DBF_LO`` probes: demand is evaluated at every ``_STRIPE``-th
+    breakpoint first, and a stripe is only filled in when the demand at
+    its right coarse point — an upper bound for the whole stripe, demand
+    being nondecreasing — can still exceed the *smallest* supply
+    threshold in the stripe within the ``_PRUNE_GUARD`` margin.  A pruned
+    stripe therefore provably contains no violation, and the verdict
+    matches the exhaustive scalar evaluation exactly (the verdict is a
+    pure existence question, insensitive to which candidate witnesses
+    it).
+    """
+    m = candidates.size
+    if m < 3 * _STRIPE:
+        return _lo_supply_holds((yield candidates), candidates, speed, rtol)
+    coarse, starts = _stripes(m)
+    d_coarse = yield candidates[coarse]
+    if not _lo_supply_holds(d_coarse, candidates[coarse], speed, rtol):
+        return False
+    live_idx = np.flatnonzero(
+        d_coarse * (1.0 + _PRUNE_GUARD)
+        > _supply_line(candidates[starts], speed, rtol)
+    )
+    interior = _interior(coarse, starts, live_idx)
+    if interior is None:
+        PERF.pruned += int(m - coarse.size)
+        return True
+    d_interior = yield candidates[interior]
+    PERF.pruned += int(m - coarse.size - interior.size)
+    return _lo_supply_holds(d_interior, candidates[interior], speed, rtol)
 
 
 # ---------------------------------------------------------------------------
@@ -693,118 +827,22 @@ class CompiledTaskSet:
     def window_peak(
         self, candidates: np.ndarray, best_ratio: float = 0.0
     ) -> Tuple[float, float]:
-        """Peak of ``DBF_HI(Delta) / Delta`` over a window's breakpoints.
-
-        Returns ``(ratio, delta)`` for the first candidate attaining the
-        maximum ratio *among the candidates whose demand was evaluated*.
-        Demand is evaluated at every ``_STRIPE``-th breakpoint first; a
-        stripe of in-between candidates is only filled in when its upper
-        bound ``DBF_HI(c_right) / Delta_first`` (demand is nondecreasing,
-        division is monotone) can still reach ``max(best_ratio,
-        coarse peak)`` within the ``_PRUNE_GUARD`` margin.  Every skipped
-        candidate therefore has a ratio strictly below both the running
-        best and this window's maximum, so the supremum scan's
-        ``(best_ratio, best_delta)`` trajectory — including first-argmax
-        tie-breaking — is bit-identical to the scalar engine's
-        exhaustive evaluation.
-        """
-        m = candidates.size
-        if m < 3 * _STRIPE:
-            demand = np.asarray(self.total_dbf_hi(candidates), dtype=float)
-            ratios = demand / candidates
-            idx = int(np.argmax(ratios))
-            return float(ratios[idx]), float(candidates[idx])
-        coarse = np.arange(_STRIPE - 1, m, _STRIPE)
-        if coarse[-1] != m - 1:
-            coarse = np.append(coarse, m - 1)
-        d_coarse = np.asarray(self.total_dbf_hi(candidates[coarse]), dtype=float)
-        r_coarse = d_coarse / candidates[coarse]
-        at_coarse = int(np.argmax(r_coarse))
-        coarse_peak = float(r_coarse[at_coarse])
-        best_eff = best_ratio if best_ratio > coarse_peak else coarse_peak
-        starts = np.empty(coarse.size, dtype=np.int64)
-        starts[0] = 0
-        starts[1:] = coarse[:-1] + 1
-        bounds = d_coarse / candidates[starts]
-        live_idx = np.flatnonzero(bounds * (1.0 + _PRUNE_GUARD) >= best_eff)
-        if live_idx.size == coarse.size:
-            demand = np.asarray(self.total_dbf_hi(candidates), dtype=float)
-            ratios = demand / candidates
-            idx = int(np.argmax(ratios))
-            return float(ratios[idx]), float(candidates[idx])
-        segments = [
-            np.arange(starts[j], coarse[j], dtype=np.int64) for j in live_idx
-        ]
-        segments = [seg for seg in segments if seg.size]
-        peak = coarse_peak
-        peak_index = int(coarse[at_coarse])
-        if segments:
-            interior = np.concatenate(segments)
-            d_interior = np.asarray(
-                self.total_dbf_hi(candidates[interior]), dtype=float
-            )
-            r_interior = d_interior / candidates[interior]
-            at = int(np.argmax(r_interior))
-            # Exact tie-break: on ratio equality prefer the earlier
-            # breakpoint so the pruned scan reports the same critical
-            # delta as the scalar oracle's left-to-right argmax.
-            if float(r_interior[at]) > peak or (
-                float(r_interior[at]) == peak  # repro-lint: ignore[RL002] first-strict-maximum tie-break is exact by spec
-                and int(interior[at]) < peak_index
-            ):
-                peak = float(r_interior[at])
-                peak_index = int(interior[at])
-            PERF.pruned += int(m - coarse.size - interior.size)
-        else:
-            PERF.pruned += int(m - coarse.size)
-        return peak, float(candidates[peak_index])
+        """Peak of ``DBF_HI(Delta) / Delta`` over a window's breakpoints,
+        stripe-pruned against ``best_ratio`` (see :func:`_peak_probes`)."""
+        return drive(
+            _peak_probes(candidates, best_ratio),
+            lambda probe: np.asarray(self.total_dbf_hi(probe), dtype=float),
+        )
 
     def lo_demand_ok(
         self, candidates: np.ndarray, speed: float, rtol: float
     ) -> bool:
-        """``DBF_LO(Delta) <= speed * Delta`` (within ``rtol``) everywhere?
-
-        The boolean analogue of :meth:`window_peak`: demand is evaluated
-        at every ``_STRIPE``-th breakpoint first, and a stripe is only
-        filled in when the demand at its right coarse point — an upper
-        bound for the whole stripe, demand being nondecreasing — can
-        still exceed the *smallest* supply threshold in the stripe
-        within the ``_PRUNE_GUARD`` margin.  A pruned stripe therefore
-        provably contains no violation, and the verdict matches the
-        exhaustive scalar evaluation exactly (the verdict is a pure
-        existence question, insensitive to which candidate witnesses
-        it).
-        """
-        m = candidates.size
-        threshold = lambda c: speed * c * (1.0 + rtol) + rtol  # noqa: E731
-        if m < 3 * _STRIPE:
-            demand = np.asarray(self.total_dbf_lo(candidates), dtype=float)
-            return not bool(np.any(demand > threshold(candidates)))
-        coarse = np.arange(_STRIPE - 1, m, _STRIPE)
-        if coarse[-1] != m - 1:
-            coarse = np.append(coarse, m - 1)
-        d_coarse = np.asarray(self.total_dbf_lo(candidates[coarse]), dtype=float)
-        if np.any(d_coarse > threshold(candidates[coarse])):
-            return False
-        starts = np.empty(coarse.size, dtype=np.int64)
-        starts[0] = 0
-        starts[1:] = coarse[:-1] + 1
-        live_idx = np.flatnonzero(
-            d_coarse * (1.0 + _PRUNE_GUARD) > threshold(candidates[starts])
+        """``DBF_LO(Delta) <= speed * Delta`` (within ``rtol``) at every
+        candidate?  Stripe-pruned (see :func:`_lo_probes`)."""
+        return drive(
+            _lo_probes(candidates, speed, rtol),
+            lambda probe: np.asarray(self.total_dbf_lo(probe), dtype=float),
         )
-        segments = [
-            np.arange(starts[j], coarse[j], dtype=np.int64) for j in live_idx
-        ]
-        segments = [seg for seg in segments if seg.size]
-        if not segments:
-            PERF.pruned += int(m - coarse.size)
-            return True
-        interior = np.concatenate(segments)
-        d_interior = np.asarray(
-            self.total_dbf_lo(candidates[interior]), dtype=float
-        )
-        PERF.pruned += int(m - coarse.size - interior.size)
-        return not bool(np.any(d_interior > threshold(candidates[interior])))
 
     def dominant_carryover(self, delta: float) -> Tuple[int, float]:
         """Largest per-task carry-over demand at interval ``delta``.
@@ -872,12 +910,7 @@ class CompiledTaskSet:
         return min(desired_end, max(limit, start * 1.0 + 1e-12))
 
     def breakpoints_in(
-        self,
-        lo: float,
-        hi: float,
-        *,
-        kind: str = "dbf",
-        budget: Optional[CandidateBudget] = None,
+        self, lo: float, hi: float, *, kind: str = "dbf"
     ) -> np.ndarray:
         """Sorted, de-duplicated system breakpoints in ``(lo, hi]``.
 
@@ -904,8 +937,6 @@ class CompiledTaskSet:
             points = points[keep]
         PERF.candidates += int(points.size)
         PERF.kernel_seconds += time.perf_counter() - start
-        if budget is not None and kind != "lo":
-            budget.charge(points.size)
         return points
 
     # ------------------------------------------------------------------
@@ -1470,10 +1501,9 @@ class CompiledPopulation:
         """Would :meth:`eval_many` fuse an ``n_points``-delta item?
 
         ``False`` means the item alone fills a whole evaluation chunk and
-        eval_many would delegate it to the member's per-set kernel.
-        Lockstep scans use this to route such items through the member's
-        *pruned* evaluators (``window_peak``/``lo_demand_ok``) instead —
-        same verdicts and trajectories, with stripe pruning intact.
+        eval_many would delegate it to the member's per-set kernel.  The
+        population driver sends such peaks and verdicts to the member's
+        *pruned* ``window_peak``/``lo_demand_ok`` instead (same answers).
         """
         return n_points * self._bucket_of[member_index] < _CHUNK_CELLS
 
@@ -1511,15 +1541,9 @@ class CompiledPopulation:
                 continue
             bucket = self._bucket_of[member_index]
             if d.size * bucket >= _CHUNK_CELLS:
-                member = self.members[member_index]
-                if kind == "lo":
-                    out = member.total_dbf_lo(d)
-                elif kind == "dbf":
-                    out = member.total_dbf_hi(d)
-                else:
-                    out = member.total_adb_hi(
-                        d, drop_terminated_carryover=drop_terminated_carryover
-                    )
+                out = total_demand(
+                    self.members[member_index], kind, d, drop_terminated_carryover
+                )
                 results[pos] = np.asarray(out, dtype=float)
                 continue
             by_bucket.setdefault(bucket, []).append(pos)
@@ -1722,7 +1746,7 @@ class CompiledPopulation:
         then the relative-1e-12 merge for the HI kinds, reset at owner
         boundaries) — so every returned array is bit-identical to the
         member's own ``breakpoints_in``.  Candidate budgets are per set
-        and stay with the caller.  Items denser than ``_FUSE_POINTS``
+        and charged by the scans.  Items denser than ``_FUSE_POINTS``
         lattice points delegate to the member's own generator (same
         output, cheaper alone).
         """
@@ -1958,16 +1982,14 @@ class ScalarEvaluator:
         first argmax — the reference behaviour the pruned compiled
         version reproduces bit for bit."""
         demand = np.asarray(self.total_dbf_hi(candidates), dtype=float)
-        ratios = demand / candidates
-        idx = int(np.argmax(ratios))
-        return float(ratios[idx]), float(candidates[idx])
+        return _first_peak(demand, candidates)
 
     def lo_demand_ok(
         self, candidates: np.ndarray, speed: float, rtol: float
     ) -> bool:
         """Exhaustive LO-mode supply check (the pre-pruning behaviour)."""
         demand = np.asarray(self.total_dbf_lo(candidates), dtype=float)
-        return not bool(np.any(demand > speed * candidates * (1.0 + rtol) + rtol))
+        return _lo_supply_holds(demand, candidates, speed, rtol)
 
     def candidate_density(self, kind: str = "dbf") -> float:
         if kind == "lo":
@@ -1989,16 +2011,11 @@ class ScalarEvaluator:
         )
 
     def breakpoints_in(
-        self,
-        lo: float,
-        hi: float,
-        *,
-        kind: str = "dbf",
-        budget: Optional[CandidateBudget] = None,
+        self, lo: float, hi: float, *, kind: str = "dbf"
     ) -> np.ndarray:
         if kind == "lo":
             return pts.dbf_lo_breakpoints_in(self.taskset, lo, hi)
-        return pts.breakpoints_in(self.taskset, lo, hi, kind=kind, budget=budget)
+        return pts.breakpoints_in(self.taskset, lo, hi, kind=kind)
 
 
 ENGINES = ("compiled", "scalar")

@@ -12,7 +12,9 @@ job, so the system can safely fall back to LO mode and nominal speed.
 jumps, so the first crossing with the supply line ``s * Delta`` lies
 either exactly at a breakpoint or in the interior of a linear segment;
 both cases are located by scanning breakpoints in growing windows and
-solving the linear segment equation for interior crossings.
+solving the linear segment equation for interior crossings — one scan
+generator (:func:`_resetting_scan`, see :mod:`repro.analysis.scan`), run
+per set here and in lockstep by :mod:`repro.analysis.population`.
 
 Existence: with ``rate = sum C_i(HI)/T_i(HI)`` the demand satisfies
 ``sum ADB_HI(Delta) <= rate * Delta + B*``, so for ``s > rate`` the
@@ -29,8 +31,9 @@ from typing import Any, Dict, Iterable, Union
 import numpy as np
 
 from repro.analysis.budget import CandidateBudget
-from repro.analysis.kernels import MEMO, CompiledTaskSet, get_evaluator
+from repro.analysis.kernels import MEMO, CompiledTaskSet, Evaluator, get_evaluator
 from repro.analysis.result import decode_float, encode_float
+from repro.analysis.scan import Breakpoints, Demand, Scan, run_scan
 from repro.model.taskset import TaskSet
 from repro.obs import trace
 
@@ -149,10 +152,6 @@ def resetting_time(
         ``"compiled"`` (fused kernels, memoised per task-set content) or
         ``"scalar"`` (per-task oracle loops; never memoised).
     """
-    if s <= 0.0:
-        raise ValueError(f"speedup must be positive, got {s}")
-    if len(taskset) == 0:
-        return ResettingResult(0.0, s, True, 0.0)
     ev = get_evaluator(taskset, engine)
 
     memo_key = None
@@ -168,11 +167,14 @@ def resetting_time(
         if cached is not None:
             return cached
     with trace.span("resetting.scan", engine=engine, n_tasks=len(taskset)):
-        result = _resetting_scan(
+        result = run_scan(
+            _resetting_scan(
+                ev,
+                s,
+                drop_terminated_carryover=drop_terminated_carryover,
+                max_candidates=max_candidates,
+            ),
             ev,
-            s,
-            drop_terminated_carryover=drop_terminated_carryover,
-            max_candidates=max_candidates,
         )
     if memo_key is not None:
         MEMO.store(memo_key, result)
@@ -180,22 +182,22 @@ def resetting_time(
 
 
 def _resetting_scan(
-    ev,
+    ev: Evaluator,
     s: float,
     *,
     drop_terminated_carryover: bool,
     max_candidates: int,
-) -> ResettingResult:
-    """The Corollary-5 first-crossing scan over an engine evaluator."""
-
-    def demand(delta):
-        return ev.total_adb_hi(
-            delta, drop_terminated_carryover=drop_terminated_carryover
-        )
-
+) -> Scan[ResettingResult]:
+    """The Corollary-5 first-crossing scan for one member."""
+    if s <= 0.0:
+        raise ValueError(f"speedup must be positive, got {s}")
+    if ev.n == 0:
+        return ResettingResult(0.0, s, True, 0.0)
+    drop = drop_terminated_carryover
     rate = ev.rate
-    excess = ev.adb_excess(drop_terminated_carryover=drop_terminated_carryover)
-    demand_zero = float(demand(0.0))
+    excess = ev.adb_excess(drop_terminated_carryover=drop)
+    zero = yield Demand("adb", np.zeros(1), drop)
+    demand_zero = float(zero[0])
     if demand_zero <= _tol(0.0):
         return ResettingResult(0.0, s, True, demand_zero)
     if s <= rate + _RTOL * max(1.0, rate):
@@ -228,20 +230,21 @@ def _resetting_scan(
             f"s={s:.6g}, demand rate={rate:.6g}, crossing horizon={horizon:.6g}, "
             f"scan reached Delta={window_lo:.6g} of {scan_end:.6g}"
         )
-        breaks = ev.breakpoints_in(window_lo, window_hi, kind="adb", budget=budget)
+        breaks = yield Breakpoints("adb", window_lo, window_hi)
+        budget.charge(breaks.size)
         if breaks.size:
-            values = np.asarray(demand(breaks), dtype=float)
             prevs = np.concatenate(([prev_delta], breaks[:-1]))
-            prev_vals = np.concatenate(([prev_demand], values[:-1]))
             # Interior crossing strictly inside (prevs[j], breaks[j]): the
             # demand there is linear from prev_vals[j] to its left limit at
             # breaks[j].  Probe midpoints to recover the segment lines
             # exactly.  A crossing landing exactly on a breakpoint does not
             # count — the demand jumps upward there, so the post-jump value
             # decides instead.
-            lengths = breaks - prevs
             mids = 0.5 * (prevs + breaks)
-            mid_vals = np.asarray(demand(mids), dtype=float)
+            demand = yield Demand("adb", np.concatenate((breaks, mids)), drop)
+            values, mid_vals = demand[: breaks.size], demand[breaks.size :]
+            prev_vals = np.concatenate(([prev_demand], values[:-1]))
+            lengths = breaks - prevs
             left_limits = 2.0 * mid_vals - prev_vals
             with np.errstate(divide="ignore", invalid="ignore"):
                 slopes = np.where(lengths > 0, (left_limits - prev_vals) / np.where(lengths > 0, lengths, 1.0), np.inf)
@@ -262,7 +265,8 @@ def _resetting_scan(
             if first_int <= first_brk and first_int < breaks.size:
                 j = first_int
                 crossing = float(max(crossings[j], prevs[j]))
-                return ResettingResult(crossing, s, False, float(demand(crossing)))
+                at_crossing = ev.total_adb_hi(crossing, drop_terminated_carryover=drop)
+                return ResettingResult(crossing, s, False, float(at_crossing))
             if first_brk < breaks.size:
                 j = first_brk
                 return ResettingResult(float(breaks[j]), s, True, float(values[j]))

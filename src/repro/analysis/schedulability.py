@@ -8,6 +8,9 @@
 
 Both scans are pseudo-polynomial: beyond the envelope horizon
 ``B / (speed - rate)`` the demand can no longer catch the supply line.
+The LO-mode scan is one generator (:func:`_lo_mode_scan`, see
+:mod:`repro.analysis.scan`), also run in lockstep by
+:mod:`repro.analysis.population`.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Union
 
-from repro.analysis.kernels import MEMO, CompiledTaskSet, get_evaluator
+from repro.analysis.kernels import MEMO, CompiledTaskSet, Evaluator, get_evaluator
 from repro.analysis.resetting import ResettingResult, resetting_time
 from repro.analysis.result import decode_float, encode_float
+from repro.analysis.scan import Breakpoints, LoVerdict, Scan, run_scan
 from repro.analysis.speedup import SpeedupResult, min_speedup, speedup_schedulable
 from repro.model.taskset import TaskSet
 
@@ -55,10 +59,6 @@ def lo_mode_schedulable(
     engine: str = "compiled",
 ) -> bool:
     """Exact EDF demand test for LO mode at the given processor speed."""
-    if speed <= 0.0:
-        return len(taskset) == 0
-    if len(taskset) == 0:
-        return True
     ev = get_evaluator(taskset, engine)
     memo_key = None
     if isinstance(ev, CompiledTaskSet):
@@ -66,14 +66,18 @@ def lo_mode_schedulable(
         cached = MEMO.lookup(memo_key)
         if cached is not None:
             return cached
-    verdict = _lo_mode_scan(ev, speed)
+    verdict = run_scan(_lo_mode_scan(ev, speed), ev)
     if memo_key is not None:
         MEMO.store(memo_key, verdict)
     return verdict
 
 
-def _lo_mode_scan(ev, speed: float) -> bool:
-    """The LO-mode demand scan over an engine evaluator."""
+def _lo_mode_scan(ev: Evaluator, speed: float) -> Scan[bool]:
+    """The LO-mode demand scan for one member."""
+    if speed <= 0.0:
+        return ev.n == 0
+    if ev.n == 0:
+        return True
     rate = ev.lo_rate
     if rate > speed * (1.0 + _RTOL):
         return False
@@ -95,14 +99,12 @@ def _lo_mode_scan(ev, speed: float) -> bool:
     max_window = 200_000 / density if density > 0 else math.inf
     while window_lo < horizon:
         window_hi = min(window_lo + step, horizon, window_lo + max_window)
-        candidates = ev.breakpoints_in(window_lo, window_hi, kind="lo")
-        if candidates.size:
-            # Engine-dispatched: the compiled engine stripe-prunes the
-            # supply comparison (kernels.CompiledTaskSet.lo_demand_ok),
-            # the scalar engine evaluates every candidate; the verdict is
-            # identical either way.
-            if not ev.lo_demand_ok(candidates, speed, _RTOL):
-                return False
+        candidates = yield Breakpoints("lo", window_lo, window_hi)
+        # The compiled engine stripe-prunes the supply comparison
+        # (kernels._lo_probes), the scalar engine evaluates every
+        # candidate; the verdict is identical either way.
+        if candidates.size and not (yield LoVerdict(candidates, speed, _RTOL)):
+            return False
         window_lo = window_hi
         step *= 2.0
     return True

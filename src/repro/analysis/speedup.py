@@ -30,7 +30,10 @@ Demand evaluation goes through :mod:`repro.analysis.kernels`: the
 default ``engine="compiled"`` uses the fused struct-of-arrays kernels
 (with fingerprint-keyed memoisation of whole results), while
 ``engine="scalar"`` walks the per-task oracle loops of
-:mod:`repro.analysis.dbf` — both produce bit-identical results.
+:mod:`repro.analysis.dbf` — both produce bit-identical results.  The
+scan is one generator (:func:`_min_speedup_scan`, see
+:mod:`repro.analysis.scan`), also run in lockstep by
+:mod:`repro.analysis.population`.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from repro.analysis.kernels import (
     get_evaluator,
 )
 from repro.analysis.result import decode_float, encode_float
+from repro.analysis.scan import Breakpoints, Demand, Peak, Scan, run_scan
 from repro.model.taskset import TaskSet
 from repro.obs import trace
 
@@ -147,9 +151,23 @@ DEFAULT_RTOL = 1e-9
 DEFAULT_MAX_CANDIDATES = 2_000_000
 
 
-def _zero_interval_demand(ev: Evaluator) -> bool:
-    """True when ``sum DBF_HI(tau_i, 0) > 0`` (infinite speedup needed)."""
-    return float(ev.total_dbf_hi(0.0)) > 1e-12
+def _min_speedup_scan(
+    ev: Evaluator, *, rtol: float, max_candidates: int, on_budget: str
+) -> Scan[SpeedupResult]:
+    """Theorem 2 for one member: the entry shortcuts, then the supremum scan."""
+    if ev.n == 0:
+        return SpeedupResult(0.0, None, True, 0.0, 0)
+    zero = yield Demand("dbf", np.zeros(1))
+    if float(zero[0]) > 1e-12:  # positive demand in a zero-length interval
+        return SpeedupResult(math.inf, None, True, math.inf, 0)
+    # dbf_excess is a sum of non-negative HI budgets, so exact zero is
+    # equivalent to <= 0 — no float equality needed.
+    if ev.dbf_excess <= 0.0:  # every task terminated: no HI-mode demand
+        return SpeedupResult(0.0, None, True, 0.0, 0)
+    return (yield from _supremum_scan(
+        ev, rtol=rtol, max_candidates=max_candidates, on_budget=on_budget,
+        window_lo=0.0, window_hi=ev.initial_window(),
+    ))
 
 
 def _supremum_scan(
@@ -163,7 +181,7 @@ def _supremum_scan(
     best_ratio: float = 0.0,
     best_delta: Optional[float] = None,
     examined: int = 0,
-) -> SpeedupResult:
+) -> Scan[SpeedupResult]:
     """Run (or resume) the Eq.-8 supremum scan from explicit scan state.
 
     ``window_lo``/``best_ratio``/``best_delta``/``examined`` let a caller
@@ -176,14 +194,14 @@ def _supremum_scan(
 
     while True:
         window_hi = ev.clamp_window(window_lo, window_hi, kind="dbf")
-        candidates = ev.breakpoints_in(window_lo, window_hi, kind="dbf")
+        candidates = yield Breakpoints("dbf", window_lo, window_hi)
         if candidates.size:
-            # The engine evaluates the window's ratio peak; the compiled
+            # The driver answers with the window's ratio peak; the compiled
             # engine prunes stripes that provably cannot beat best_ratio
-            # (kernels.CompiledTaskSet.window_peak), the scalar engine
-            # evaluates every candidate.  Both yield the identical
-            # (best_ratio, best_delta) trajectory.
-            peak_ratio, peak_delta = ev.window_peak(candidates, best_ratio)
+            # (kernels._peak_probes), the scalar engine evaluates every
+            # candidate.  Both yield the identical (best_ratio, best_delta)
+            # trajectory.
+            peak_ratio, peak_delta = yield Peak(candidates, best_ratio)
             if peak_ratio > best_ratio:
                 best_ratio = peak_ratio
                 best_delta = peak_delta
@@ -255,8 +273,6 @@ def min_speedup(
     """
     if on_budget not in ("inexact", "raise"):
         raise ValueError(f"on_budget must be 'inexact' or 'raise', got {on_budget!r}")
-    if len(taskset) == 0:
-        return SpeedupResult(0.0, None, True, 0.0, 0)
     ev = get_evaluator(taskset, engine)
 
     memo_key = None
@@ -268,21 +284,12 @@ def min_speedup(
 
     before = PERF.snapshot() if memo_key is not None else None
     with trace.span("speedup.min_speedup", engine=engine, n_tasks=len(taskset)) as sp:
-        if _zero_interval_demand(ev):
-            result = SpeedupResult(math.inf, None, True, math.inf, 0)
-        # dbf_excess is a sum of non-negative HI budgets, so exact zero
-        # is equivalent to <= 0 — no float equality needed.
-        elif ev.dbf_excess <= 0.0:  # every task terminated: no HI-mode demand
-            result = SpeedupResult(0.0, None, True, 0.0, 0)
-        else:
-            result = _supremum_scan(
-                ev,
-                rtol=rtol,
-                max_candidates=max_candidates,
-                on_budget=on_budget,
-                window_lo=0.0,
-                window_hi=ev.initial_window(),
-            )
+        result = run_scan(
+            _min_speedup_scan(
+                ev, rtol=rtol, max_candidates=max_candidates, on_budget=on_budget
+            ),
+            ev,
+        )
         sp.add("candidates", result.candidates_examined)
     if memo_key is not None:
         result = replace(result, perf=PERF.delta_since(before))
@@ -308,13 +315,16 @@ def speedup_schedulable(
     exhaustion, ``on_budget`` selects between resuming the certified
     supremum scan from the current scan state (``"inexact"``) and raising
     :class:`~repro.analysis.budget.AnalysisBudgetExceeded` (``"raise"``).
+    The resumed scan draws on the same ``max_candidates`` budget, and
+    the answer is True only when its certified upper bound is at most
+    ``s``: a result the budget cannot certify is False.
     """
     if on_budget not in ("inexact", "raise"):
         raise ValueError(f"on_budget must be 'inexact' or 'raise', got {on_budget!r}")
     if len(taskset) == 0:
         return True
     ev = get_evaluator(taskset, engine)
-    if _zero_interval_demand(ev):
+    if float(ev.total_dbf_hi(0.0)) > 1e-12:  # infinite speedup needed
         return False
     rate = ev.rate
     excess = ev.dbf_excess
@@ -358,18 +368,17 @@ def speedup_schedulable(
                     # Every breakpoint up to window_hi already passed the
                     # supply-line test, so the supremum over the examined
                     # prefix is best_ratio <= s; resume the certified scan
-                    # from here instead of rescanning from zero.
-                    cont = _supremum_scan(
-                        ev,
-                        rtol=rtol,
-                        max_candidates=max_candidates,
-                        on_budget="inexact",
-                        window_lo=window_hi,
-                        window_hi=2.0 * window_hi,
-                        best_ratio=best_ratio,
-                        best_delta=best_delta,
+                    # from here instead of rescanning from zero.  Only its
+                    # certified upper bound decides: an inexact s_min is
+                    # merely a lower bound on the true supremum.
+                    resumed = _supremum_scan(
+                        ev, rtol=rtol, max_candidates=max_candidates,
+                        on_budget="inexact", window_lo=window_hi,
+                        window_hi=2.0 * window_hi, best_ratio=best_ratio,
+                        best_delta=best_delta, examined=examined,
                     )
-                    return cont.s_min <= s * (1.0 + rtol)
+                    cont = run_scan(resumed, ev)
+                    return cont.upper_bound <= s * (1.0 + rtol)
             window_lo = window_hi
             step *= 2.0
     return True

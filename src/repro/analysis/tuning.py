@@ -16,14 +16,17 @@ Two methods are provided:
   Sufficient, closed-form, and the convention of the EDF-VD literature.
 * ``"exact"`` — bisection on ``x`` against the exact LO-mode demand
   test (:func:`repro.analysis.schedulability.lo_mode_schedulable`);
-  returns a (slightly conservative) minimal feasible ``x``.
+  returns a (slightly conservative) minimal feasible ``x``.  The
+  bisection is one generator of feasibility probes (:func:`_x_bisection`),
+  also run in lockstep by :mod:`repro.analysis.population`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Generator, Optional
 
 from repro.analysis.kernels import MEMO, compile_taskset
+from repro.analysis.scan import drive
 from repro.analysis.schedulability import lo_mode_schedulable
 from repro.model.task import Criticality, ModelError
 from repro.model.taskset import TaskSet
@@ -59,6 +62,29 @@ def structural_floor(taskset: TaskSet) -> float:
     return max(floors) if floors else 0.0
 
 
+def _x_bisection(
+    taskset: TaskSet, tol: float
+) -> Generator[Optional[float], bool, Optional[float]]:
+    """Section VI's bisection for the minimal feasible ``x``: yields each
+    ``x`` to probe (``None``: the set as given, the only probe a set
+    without HI tasks needs) and receives whether LO mode is feasible."""
+    if not taskset.hi_tasks:
+        return 1.0 if (yield None) else None
+    hi = 1.0
+    if not (yield hi):
+        return None
+    lo = max(structural_floor(taskset), 1e-9)
+    if (yield lo):
+        return lo
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if (yield mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def exact_preparation_factor(
     taskset: TaskSet, *, tol: float = 1e-4, engine: str = "compiled"
 ) -> Optional[float]:
@@ -71,12 +97,23 @@ def exact_preparation_factor(
     :class:`~repro.analysis.kernels.CompiledTaskSet` instead of
     rebuilding (and re-validating) a task set.
     """
+    if engine == "compiled":
+        base = compile_taskset(taskset)
+
+        def feasible(x: Optional[float]) -> bool:
+            return lo_mode_schedulable(base if x is None else base.with_hi_lo_deadline_factor(x))
+
+    else:
+
+        def feasible(x: Optional[float]) -> bool:
+            probe = taskset if x is None else shorten_hi_deadlines(taskset, x)
+            return lo_mode_schedulable(probe, engine=engine)
+
     if not taskset.hi_tasks:
-        return 1.0 if lo_mode_schedulable(taskset, engine=engine) else None
+        return drive(_x_bisection(taskset, tol), feasible)
 
     memo_key = None
     if engine == "compiled":
-        base = compile_taskset(taskset)
         # The whole bisection is deterministic in (content, tol): sweeps
         # that re-tune the same base set (shrink ladders, sensitivity
         # grids) skip the repeated probe sequence entirely.
@@ -85,37 +122,14 @@ def exact_preparation_factor(
         if cached is not None:
             return cached
 
-        def feasible(x: float) -> bool:
-            return lo_mode_schedulable(base.with_hi_lo_deadline_factor(x))
-
-    else:
-
-        def feasible(x: float) -> bool:
-            return lo_mode_schedulable(shorten_hi_deadlines(taskset, x), engine=engine)
-
     result: Optional[float]
     with trace.span("tuning.bisect", engine=engine, n_tasks=len(taskset)) as sp:
 
-        def probed(x: float) -> bool:
+        def probed(x: Optional[float]) -> bool:
             sp.add("probes")
             return feasible(x)
 
-        hi = 1.0
-        if not probed(hi):
-            result = None
-        else:
-            lo = structural_floor(taskset)
-            lo = max(lo, 1e-9)
-            if probed(lo):
-                result = lo
-            else:
-                while hi - lo > tol * hi:
-                    mid = 0.5 * (lo + hi)
-                    if probed(mid):
-                        hi = mid
-                    else:
-                        lo = mid
-                result = hi
+        result = drive(_x_bisection(taskset, tol), probed)
     if memo_key is not None:
         MEMO.store(memo_key, result)
     return result

@@ -17,10 +17,9 @@ Usage::
                    [--quarantine out.jsonl]
     repro-mc chaos [--quick] [--jobs N] [--families kill,poison,...]
                    [--chaos-seed N]
-    repro-mc lint [paths ...] [--jobs N] [--format text|json|sarif]
+    repro-mc lint [paths ...] [--format text|json|sarif]
                   [--baseline FILE] [--write-baseline] [--rules RL001,...]
-                  [--lint-cache FILE] [--changed-only] [--contracts FILE]
-                  [--write-contracts]
+                  [--contracts FILE] [--write-contracts]
 
 Each command accepts only the flags listed for it; any other flag is a
 usage error (exit status 2).
@@ -576,7 +575,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seed of the population and fault placement (default 42)",
     )
 
-    lint = command("lint", "lint the source tree with repro-lint", ("jobs",))
+    lint = command("lint", "lint the source tree with repro-lint")
     lint.add_argument(
         "paths", nargs="*", help="files/directories to lint (default: src)"
     )
@@ -601,18 +600,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--rules",
         metavar="RL001,RL002,...",
         help="comma-separated subset of lint rules to run (default: all)",
-    )
-    lint.add_argument(
-        "--lint-cache",
-        metavar="FILE.json",
-        help="incremental cache file: warm runs re-analyze only changed "
-        "files plus their reverse-dependency cone",
-    )
-    lint.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="report findings only for files re-analyzed this run "
-        "(requires --lint-cache to be meaningful)",
     )
     lint.add_argument(
         "--contracts",
@@ -642,11 +629,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             baseline_path=args.baseline,
             update_baseline=args.write_baseline,
             rules=args.rules,
-            cache_path=args.lint_cache,
-            changed_only=args.changed_only,
             contracts_path=args.contracts,
             write_contracts=args.write_contracts,
-            jobs=args.jobs,
         )
 
     if args.experiment == "batch":

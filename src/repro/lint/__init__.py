@@ -26,11 +26,8 @@ The analysis core makes promises the test suite can only sample:
 Since v2 the engine runs in two phases: it first indexes every file
 into a :class:`~repro.lint.model.ProjectModel` (import graph, name
 resolver, call graph, per-function dataflow), then runs rules with
-that whole-program context.  Results are cached incrementally
-(:mod:`repro.lint.cache`): a warm run over an unchanged tree
-re-analyzes nothing, and an edit re-analyzes only the file's reverse
-dependency cone.  Suppressions (``# repro-lint: ignore[RL002]
-reason``) require a reason; grandfathered findings live in a committed
+that whole-program context.  Suppressions (``# repro-lint:
+ignore[RL002] reason``) require a reason; grandfathered findings live in a committed
 JSON baseline (:mod:`repro.lint.baseline`); reporters render text,
 JSON and SARIF 2.1.0 (:mod:`repro.lint.report`,
 :mod:`repro.lint.sarif`).  The ``repro-mc lint`` subcommand

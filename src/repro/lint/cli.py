@@ -6,8 +6,6 @@ Usage::
     repro-mc lint src/ --format json        # machine-readable
     repro-mc lint src/ --format sarif       # SARIF 2.1.0 (CI upload)
     repro-mc lint src/ --rules RL001,RL003  # a subset of the pack
-    repro-mc lint src/ --lint-cache .repro-lint-cache.json
-    repro-mc lint src/ --changed-only       # report only re-analyzed files
     repro-mc lint src/ --write-contracts    # regenerate lint-contracts.json
     repro-mc lint src/ --write-baseline     # grandfather current findings
     repro-mc lint src/ --baseline other.json
@@ -17,10 +15,7 @@ baselined) finding, **2** on usage errors, **3** when every finding is
 baselined — clean-but-grandfathered is distinguishable from clean, so
 CI can track baseline burn-down without re-parsing reports.
 
-``--lint-cache`` enables the incremental cache: a warm run over an
-unchanged tree re-analyzes zero files, and an edit re-analyzes only
-the changed files plus their reverse-dependency cone.  The cache
-summary (cold/warm, analyzed/cached counts, duration) always goes to
+The run summary (checked/analyzed counts, duration) always goes to
 stderr so stdout stays pure JSON under ``--format json``/``sarif``.
 
 ``--write-baseline`` refuses to run while RL006 (contract drift)
@@ -40,8 +35,7 @@ from repro.lint.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.lint.cache import DEFAULT_CONTRACTS_NAME
-from repro.lint.contracts import compute_contracts
+from repro.lint.contracts import DEFAULT_CONTRACTS_NAME, compute_contracts
 from repro.lint.engine import (
     available_rules,
     iter_python_files,
@@ -65,11 +59,8 @@ def run_lint_command(
     baseline_path: Optional[str] = None,
     update_baseline: bool = False,
     rules: Optional[str] = None,
-    cache_path: Optional[str] = None,
-    changed_only: bool = False,
     contracts_path: Optional[str] = None,
     write_contracts: bool = False,
-    jobs: int = 0,
 ) -> int:
     """Execute the lint subcommand; returns the process exit code."""
     targets = [Path(p) for p in (paths or ["src"])]
@@ -110,21 +101,14 @@ def run_lint_command(
     run = lint_project(
         targets,
         selected,
-        cache_path=Path(cache_path) if cache_path else None,
-        jobs=jobs,
         contracts_path=contracts_file if contracts_file.is_file() else None,
     )
     _note(
         f"{len(run.checked_files)} file(s) checked, "
-        f"{len(run.analyzed_files)} analyzed, "
-        f"{len(run.cached_files)} from cache "
-        f"({'cold' if run.cold else 'warm'}, {run.duration_s:.2f}s)"
+        f"{len(run.analyzed_files)} analyzed ({run.duration_s:.2f}s)"
     )
 
     findings = run.findings
-    if changed_only:
-        analyzed = {str(path) for path in run.analyzed_files}
-        findings = [f for f in findings if f.path in analyzed]
 
     baseline_file = Path(baseline_path) if baseline_path else Path(
         DEFAULT_BASELINE_NAME

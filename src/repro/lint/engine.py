@@ -6,13 +6,8 @@ and yielding :class:`Finding` records.  Rules register themselves under
 a stable code (``RL001`` ...) via :func:`register`.
 
 The driver is two-phase: phase one indexes every requested file into
-the project model (import graph, alias tables, digests — optionally
-fanning the content hashing out over a process pool); phase two runs
-the selected rules with that model in hand.  :func:`lint_project`
-additionally consults the incremental cache
-(:mod:`repro.lint.cache`): a warm run over an unchanged tree
-re-analyzes zero files, and an edit re-analyzes only the changed files
-plus their reverse-dependency cone.
+the project model (import graph, alias tables, digests); phase two runs
+the selected rules with that model in hand.
 
 Suppression comments must justify themselves: ``# repro-lint:
 ignore[RL002] exact dedup mirrors the scalar oracle`` silences RL002 on
@@ -45,7 +40,7 @@ from typing import (
     Tuple,
 )
 
-from repro.lint import cache as lint_cache
+from repro.lint.contracts import load_contracts
 from repro.lint.model import (
     ModuleInfo,
     ProjectModel,
@@ -286,186 +281,46 @@ class LintRun:
     findings: List[Finding]
     #: Every file in the linted set.
     checked_files: List[Path]
-    #: Files the rules actually ran over this time.
+    #: Files the rules ran over (those that parsed).
     analyzed_files: List[Path]
-    #: Files whose findings were served from the incremental cache.
-    cached_files: List[Path]
-    #: ``True`` when no usable cache state existed (full analysis).
-    cold: bool
     duration_s: float
     model: Optional[ProjectModel] = None
-
-
-def _context_for(
-    info: ModuleInfo,
-    model: ProjectModel,
-    contracts: Optional[Dict[str, object]],
-) -> LintContext:
-    return LintContext(
-        path=info.path,
-        source=info.source,
-        tree=info.tree,
-        module=info.module,
-        model=model,
-        info=info,
-        contracts=contracts,
-    )
-
-
-def _load_dep_entries(
-    model: ProjectModel,
-    entries: Dict[str, Dict[str, object]],
-    linted: Set[str],
-) -> None:
-    """Bring previously-seen dependency files back into the model.
-
-    Cone computation needs their import edges: a lint of a subtree can
-    depend on modules outside it (RL004 traversal, RL006 surfaces), and
-    an edit to one of those must still invalidate its importers.
-    """
-    for path_str, entry in entries.items():
-        if path_str in linted:
-            continue
-        path = Path(path_str)
-        if not path.is_file():
-            continue
-        info = ModuleInfo.parse(path)
-        if info is not None:
-            stored = entry.get("module")
-            if isinstance(stored, str) and stored:
-                info.module = stored
-            model.add(info, linted=False)
 
 
 def lint_project(
     paths: Sequence[Path],
     rules: Optional[Sequence[str]] = None,
     *,
-    cache_path: Optional[Path] = None,
-    jobs: int = 0,
     contracts_path: Optional[Path] = None,
 ) -> LintRun:
-    """Two-phase whole-program lint with optional incremental caching.
+    """Two-phase whole-program lint.
 
-    Phase one digests and indexes every file under ``paths`` (hashing
-    fans out over a process pool when ``jobs`` > 1).  With a cache, the
-    run then re-analyzes only files whose content digest changed plus
-    every linted file whose transitive import closure reaches a changed
-    module; an unchanged tree re-analyzes nothing and never even
-    parses.  Phase two runs the selected rules with the full project
-    model in context.
+    Phase one indexes every file under ``paths`` into the project model;
+    phase two runs the selected rules over each parsed file with the
+    full model in context.
     """
     started = time.perf_counter()
     selected = _select(rules)
     files = list(iter_python_files(paths))
-    file_keys = [str(p) for p in files]
-    contracts, contracts_digest = lint_cache.load_contracts(contracts_path)
-    engine_key = lint_cache.engine_key(selected, contracts_digest)
-
-    digests = lint_cache.digest_files(files, jobs=jobs)
-    stored = lint_cache.load_cache(cache_path)
-    entries: Dict[str, Dict[str, object]] = {}
-    if stored is not None and stored.get("engine_key") == engine_key:
-        raw = stored.get("files")
-        if isinstance(raw, dict):
-            entries = raw
-
-    linted_set = set(file_keys)
-    changed: Set[str] = set()
-    if entries:
-        for path_str in file_keys:
-            entry = entries.get(path_str)
-            if entry is None or entry.get("digest") != digests.get(path_str):
-                changed.add(path_str)
-        for path_str, entry in entries.items():
-            if path_str in linted_set:
-                continue
-            if entry.get("linted", True):
-                changed.add(path_str)  # left the linted set
-                continue
-            if lint_cache.path_digest(path_str) != entry.get("digest"):
-                changed.add(path_str)
-
-        if not changed:
-            # Warm fast path: nothing moved, answer entirely from cache
-            # without parsing a single file.
-            findings = sorted(
-                (
-                    Finding(**f)  # type: ignore[arg-type]
-                    for path_str in file_keys
-                    for f in entries[path_str].get("findings", ())
-                    if isinstance(f, dict)
-                ),
-                key=Finding.sort_key,
-            )
-            return LintRun(
-                findings=findings,
-                checked_files=files,
-                analyzed_files=[],
-                cached_files=list(files),
-                cold=False,
-                duration_s=time.perf_counter() - started,
-            )
-
+    contracts = load_contracts(contracts_path)
     model = build_model(files)
-    if entries:
-        _load_dep_entries(model, entries, linted_set)
-
-    changed_modules: Set[str] = set()
-    for path_str in changed:
-        entry = entries.get(path_str)
-        module = entry.get("module") if entry else None
-        if isinstance(module, str) and module:
-            changed_modules.add(module)
-    for info in model.linted_modules():
-        if str(info.path) in changed:
-            changed_modules.add(info.module)
-
-    reused: Dict[str, List[Finding]] = {}
-    to_analyze: List[ModuleInfo] = []
-    for info in model.linted_modules():
-        path_str = str(info.path)
-        entry = entries.get(path_str)
-        if (
-            entry is None
-            or path_str in changed
-            or changed_modules & (
-                model.import_closure(info.module) | {info.module}
-            )
-        ):
-            to_analyze.append(info)
-        else:
-            reused[path_str] = [
-                Finding(**f)  # type: ignore[arg-type]
-                for f in entry.get("findings", ())
-                if isinstance(f, dict)
-            ]
-
-    fresh: Dict[str, List[Finding]] = {}
-    for info in to_analyze:
-        context = _context_for(info, model, contracts)
-        fresh[str(info.path)] = lint_file(context, selected)
-
-    findings = sorted(
-        (f for per_file in (*reused.values(), *fresh.values())
-         for f in per_file),
-        key=Finding.sort_key,
-    )
-
-    if cache_path is not None:
-        lint_cache.write_cache(
-            cache_path,
-            engine_key=engine_key,
+    analyzed = model.linted_modules()
+    findings: List[Finding] = []
+    for info in analyzed:
+        context = LintContext(
+            path=info.path,
+            source=info.source,
+            tree=info.tree,
+            module=info.module,
             model=model,
-            findings_by_path={**reused, **fresh},
+            info=info,
+            contracts=contracts,
         )
-
+        findings.extend(lint_file(context, selected))
     return LintRun(
-        findings=findings,
+        findings=sorted(findings, key=Finding.sort_key),
         checked_files=files,
-        analyzed_files=[info.path for info in to_analyze],
-        cached_files=[Path(p) for p in sorted(reused)],
-        cold=not entries,
+        analyzed_files=[info.path for info in analyzed],
         duration_s=time.perf_counter() - started,
         model=model,
     )

@@ -4,8 +4,8 @@ PR-5's engine handed every rule a single parsed file plus a lazy
 module index; cross-module reasoning (RL004's call-graph traversal,
 RL005's re-export chains) was re-derived ad hoc inside each rule.  This
 module centralises that machinery so the v2 semantic rules (RL006
-contract drift, RL008 exactly-once accounting) and the incremental
-cache share one picture of the project:
+contract drift, RL008 exactly-once accounting) share one picture of
+the project:
 
 * :class:`ModuleInfo` — one parsed module with its content digest,
   alias table (local name → dotted origin), top-level definitions and
@@ -65,14 +65,6 @@ def source_root(path: Path) -> Optional[Path]:
         if parent.name == "repro":
             return parent.parent
     return None
-
-
-def file_digest(path: Path) -> Optional[str]:
-    """Hex SHA-256 of the file's bytes, or ``None`` if unreadable."""
-    try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    except OSError:
-        return None
 
 
 def _is_project(module: str) -> bool:
@@ -217,8 +209,7 @@ class ProjectModel:
     :meth:`add`) and on-demand *dependencies* loaded from a source root
     when a rule follows an import outside the linted paths (so a lint
     of ``src/repro/pipeline`` can still traverse into
-    ``repro.analysis``).  Both are digested, so the incremental cache
-    can watch every file that influenced a verdict.
+    ``repro.analysis``).  Both are digested (:meth:`digest`).
     """
 
     def __init__(self) -> None:
@@ -352,8 +343,7 @@ class ProjectModel:
     def digest(self) -> str:
         """SHA-256 over (module, file digest) for every loaded file.
 
-        This is the "model digest" leg of the incremental-cache key: a
-        byte change anywhere in the loaded closure changes it.
+        A byte change anywhere in the loaded closure changes it.
         """
         acc = hashlib.sha256()
         for info in self.modules():

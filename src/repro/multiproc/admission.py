@@ -18,8 +18,8 @@ Two interchangeable admission engines answer the same question:
   in lockstep (:func:`repro.analysis.population.lo_mode_schedulable_many`
   / :func:`~repro.analysis.population.min_speedup_many`), sharing each
   round's breakpoint generation and fused demand kernels across every
-  core.  The lockstep scans are bit-exact mirrors of the per-set scans,
-  so **both engines admit exactly the same cores** — partitioning
+  core.  The population driver runs the per-set scans themselves, so
+  **both engines admit exactly the same cores** — partitioning
   decisions are byte-identical (property-tested on seeded populations).
 
 Identical-content trials are evaluated once: every still-empty core

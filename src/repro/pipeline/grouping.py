@@ -11,8 +11,9 @@ the chunk.  In the small-set regime (figs 6–7) this converts hundreds of
 tiny kernel calls into a handful of population calls.
 
 **Byte-identity contract.**  Every per-item report equals the one
-``evaluate_captured(request)`` produces, bit for bit: the lockstep scans
-are bit-exact mirrors of the per-set scans, the stage logic below
+``evaluate_captured(request)`` produces, bit for bit: the population
+driver runs the per-set scans themselves (one scan generator per
+analysis, :mod:`repro.analysis.scan`), the stage logic below
 replays ``_evaluate_request``'s control flow per item (tuning verdicts,
 ``lo_test`` defaulting, resetting policies, budget thresholds), and
 per-item analysis errors capture into the same

@@ -4,11 +4,10 @@ Covers the whole-program project model (import graph, name resolution),
 the dataflow pass (value lattice, CFG-lite path enumeration), the four
 semantic rules (RL006 contract drift, RL007 dtype discipline, RL008
 exactly-once accounting, RL009 iteration order) with must-fire and
-must-not-fire fixtures, the incremental cache (warm fast path, cone
-invalidation, contract-surface edits), the SARIF reporter, and the
-acceptance proofs over the real tree: ``src/`` is clean under the
-semantic rules, the committed contract file is fresh, and RL008's path
-ledger balances every settle path in the real pipeline.
+must-not-fire fixtures, the SARIF reporter, and the acceptance proofs
+over the real tree: ``src/`` is clean under the semantic rules, the
+committed contract file is fresh, and RL008's path ledger balances
+every settle path in the real pipeline.
 
 Fixture trees use the same ``repro/...`` layout as ``test_lint.py`` so
 dotted module names land inside the rules' scopes.
@@ -38,7 +37,7 @@ from repro.lint.dataflow import (
     Dataflow,
     enumerate_paths,
 )
-from repro.lint.engine import Finding, lint_project
+from repro.lint.engine import Finding
 from repro.lint.model import ModuleInfo, build_model, module_name
 from repro.lint.rules.accounting import (
     DISPOSITIONS,
@@ -933,135 +932,6 @@ class TestRL009IterationOrder:
             """,
         })
         assert run(tmp_path, rules=["RL009"]) == []
-
-
-# ---------------------------------------------------------------------------
-# Incremental cache
-# ---------------------------------------------------------------------------
-
-
-def _chain_fixture(tmp_path: Path) -> Path:
-    """base <- mid <- top, plus an unrelated bystander module."""
-    return make_tree(tmp_path, {
-        "repro/pipeline/base.py": """\
-            def ground(x: int) -> int:
-                \"\"\"Documented.\"\"\"
-                return x * 2
-        """,
-        "repro/pipeline/mid.py": """\
-            from repro.pipeline.base import ground
-
-            def lift(x: int) -> int:
-                \"\"\"Documented.\"\"\"
-                return ground(x) + 1
-        """,
-        "repro/pipeline/top.py": """\
-            from repro.pipeline.mid import lift
-
-            def peak(x: int) -> int:
-                \"\"\"Documented.\"\"\"
-                return lift(x) + 1
-        """,
-        "repro/pipeline/bystander.py": """\
-            def watch(x: int) -> int:
-                \"\"\"Documented.\"\"\"
-                return x
-        """,
-    })
-
-
-class TestIncrementalCache:
-    def test_warm_run_reanalyzes_nothing(self, tmp_path):
-        root = _chain_fixture(tmp_path)
-        cache = tmp_path / "cache.json"
-        cold = lint_project([root], cache_path=cache)
-        assert cold.cold
-        assert len(cold.analyzed_files) == 4
-        warm = lint_project([root], cache_path=cache)
-        assert not warm.cold
-        assert warm.analyzed_files == []
-        assert len(warm.cached_files) == 4
-        assert warm.findings == cold.findings
-
-    def test_leaf_edit_reanalyzes_only_the_cone(self, tmp_path):
-        root = _chain_fixture(tmp_path)
-        cache = tmp_path / "cache.json"
-        lint_project([root], cache_path=cache)
-        base = root / "repro" / "pipeline" / "base.py"
-        base.write_text(base.read_text() + "\nEXTRA = 1\n")
-        run2 = lint_project([root], cache_path=cache)
-        analyzed = {p.name for p in run2.analyzed_files}
-        assert analyzed == {"base.py", "mid.py", "top.py"}
-        assert {p.name for p in run2.cached_files} == {"bystander.py"}
-
-    def test_new_finding_in_edited_file_surfaces(self, tmp_path):
-        root = _chain_fixture(tmp_path)
-        cache = tmp_path / "cache.json"
-        assert lint_project([root], cache_path=cache).findings == []
-        base = root / "repro" / "pipeline" / "base.py"
-        base.write_text(
-            base.read_text() + "\nimport time\nSTAMP = time.time()\n"
-        )
-        run2 = lint_project([root], cache_path=cache)
-        assert codes(run2.findings) == ["RL003"]
-
-    def test_rule_set_change_invalidates_cache(self, tmp_path):
-        root = _chain_fixture(tmp_path)
-        cache = tmp_path / "cache.json"
-        lint_project([root], cache_path=cache)
-        run2 = lint_project([root], rules=["RL003"], cache_path=cache)
-        assert run2.cold  # different engine key: stored state unusable
-
-    def test_contract_surface_edit_fires_rl006_through_cache(
-        self, tmp_path
-    ):
-        root = _checkpoint_fixture(tmp_path)
-        contracts = tmp_path / "contracts.json"
-        _write_contracts(root, contracts)
-        cache = tmp_path / "cache.json"
-        run1 = lint_project(
-            [root], cache_path=cache, contracts_path=contracts
-        )
-        assert run1.findings == []
-        payload = root / "repro" / "pipeline" / "payload.py"
-        payload.write_text(payload.read_text().replace(
-            "fingerprint: str", "fingerprint: str\n    extra: int"
-        ))
-        run2 = lint_project(
-            [root], cache_path=cache, contracts_path=contracts
-        )
-        assert codes(run2.findings) == ["RL006"]
-        # runner.py holds the anchor and sits in payload's reverse cone.
-        assert {p.name for p in run2.analyzed_files} >= {
-            "payload.py", "runner.py"
-        }
-
-    def test_warm_run_is_at_least_5x_faster_than_cold(self, tmp_path):
-        # A tree big enough that the cold run does real work: 40
-        # modules, each with imports and a few hundred statements.
-        files = {}
-        for i in range(40):
-            lines = [
-                "import math",
-                f"def fn_{i}(x: float) -> float:",
-                '    """Documented."""',
-                "    acc = x",
-            ]
-            lines += [
-                f"    acc = acc + math.sqrt(acc + {j}.0)"
-                for j in range(200)
-            ]
-            lines.append("    return acc")
-            files[f"repro/pipeline/gen_{i:02d}.py"] = "\n".join(lines) + "\n"
-        root = make_tree(tmp_path, files)
-        cache = tmp_path / "cache.json"
-        cold = lint_project([root], cache_path=cache)
-        warm = lint_project([root], cache_path=cache)
-        assert cold.cold and not warm.cold
-        assert warm.analyzed_files == []
-        assert warm.duration_s * 5 <= cold.duration_s, (
-            f"warm {warm.duration_s:.4f}s vs cold {cold.duration_s:.4f}s"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -90,23 +90,46 @@ class TestByteIdentity:
 
     def test_resetting_200_sets(self, small_population):
         _clear_caches()
-        scalar = [resetting_time(ts, 2.0) for ts in small_population]
+        scalar = [
+            resetting_time(ts, 2.0, engine="scalar") for ts in small_population
+        ]
+        _clear_caches()
+        compiled = [
+            resetting_time(ts, 2.0, engine="compiled") for ts in small_population
+        ]
         _clear_caches()
         pop = resetting_many(small_population, 2.0)
+        assert [r.to_dict() for r in scalar] == [r.to_dict() for r in compiled]
         assert [r.to_dict() for r in scalar] == [r.to_dict() for r in pop]
 
     def test_lo_schedulable_200_sets(self, small_population):
         _clear_caches()
-        scalar = [lo_mode_schedulable(ts, 0.85) for ts in small_population]
+        scalar = [
+            lo_mode_schedulable(ts, 0.85, engine="scalar")
+            for ts in small_population
+        ]
         _clear_caches()
+        compiled = [
+            lo_mode_schedulable(ts, 0.85, engine="compiled")
+            for ts in small_population
+        ]
+        _clear_caches()
+        assert scalar == compiled
         assert scalar == lo_mode_schedulable_many(small_population, 0.85)
 
     def test_exact_x_200_sets(self, small_population):
         _clear_caches()
         scalar = [
-            min_preparation_factor(ts, method="exact") for ts in small_population
+            min_preparation_factor(ts, method="exact", engine="scalar")
+            for ts in small_population
         ]
         _clear_caches()
+        compiled = [
+            min_preparation_factor(ts, method="exact", engine="compiled")
+            for ts in small_population
+        ]
+        _clear_caches()
+        assert scalar == compiled
         assert scalar == min_preparation_factor_many(
             small_population, method="exact"
         )
@@ -130,6 +153,25 @@ class TestByteIdentity:
         alone = min_speedup_many([table1])[0]
         _clear_caches()
         assert alone.to_dict() == min_speedup(table1).to_dict()
+
+    def test_single_set_resetting(self, table1):
+        _clear_caches()
+        alone = resetting_many([table1], 2.0)[0]
+        _clear_caches()
+        assert alone.to_dict() == resetting_time(table1, 2.0).to_dict()
+
+    def test_single_set_lo_schedulable(self, table1):
+        _clear_caches()
+        alone = lo_mode_schedulable_many([table1], 0.9)
+        _clear_caches()
+        assert alone == [lo_mode_schedulable(table1, 0.9)]
+
+    def test_single_set_exact_x(self, small_population):
+        ts = small_population[0]
+        _clear_caches()
+        alone = min_preparation_factor_many([ts], method="exact")
+        _clear_caches()
+        assert alone == [min_preparation_factor(ts, method="exact")]
 
     def test_empty_population(self):
         assert min_speedup_many([]) == []
@@ -159,17 +201,27 @@ class TestBudgetParity:
         exact = min_speedup(hard)
         if exact.candidates_examined <= 50:
             pytest.skip("set no longer exceeds the tiny budget")
-        with pytest.raises(AnalysisBudgetExceeded):
+        _clear_caches()
+        with pytest.raises(AnalysisBudgetExceeded) as per_set:
+            min_speedup(hard, max_candidates=50, on_budget="raise")
+        _clear_caches()
+        with pytest.raises(AnalysisBudgetExceeded) as pop:
             min_speedup_many(
                 [table1, hard], max_candidates=50, on_budget="raise"
             )
+        assert str(pop.value) == str(per_set.value)
+        assert vars(pop.value) == vars(per_set.value)
 
     def test_resetting_budget_raises_like_per_set(self, table1):
         hard = near_critical_set()
-        with pytest.raises(AnalysisBudgetExceeded):
+        _clear_caches()
+        with pytest.raises(AnalysisBudgetExceeded) as per_set:
             resetting_time(hard, 1.9, max_candidates=1_000)
-        with pytest.raises(AnalysisBudgetExceeded):
+        _clear_caches()
+        with pytest.raises(AnalysisBudgetExceeded) as pop:
             resetting_many([table1, hard], 1.9, max_candidates=1_000)
+        assert str(pop.value) == str(per_set.value)
+        assert vars(pop.value) == vars(per_set.value)
 
 
 def _requests(tasksets):

@@ -150,3 +150,25 @@ class TestSchedulableAt:
             s = min_speedup(ts).s_min
             assert speedup_schedulable(ts, s * 1.001)
             assert not speedup_schedulable(ts, s * 0.95)
+
+    @pytest.mark.parametrize("engine", ["compiled", "scalar"])
+    def test_exhausted_budget_never_proves_schedulable(self, engine):
+        """A budget-cut scan is no proof: below s_min the answer is False.
+
+        Once the direct scan spends ``max_candidates``, the resumed
+        supremum scan is inexact; its ``s_min`` is only a lower bound, so
+        the verdict must come from the certified upper bound.
+        """
+        from repro.generator.taskgen import GeneratorConfig, population
+        from repro.model.transform import apply_uniform_scaling
+
+        base = population(0.85, 10, seed=2, config=GeneratorConfig())[3]
+        ts = apply_uniform_scaling(base, 0.3, 3.0)
+        exact = min_speedup(ts, engine=engine)
+        assert exact.exact
+        assert exact.s_min == pytest.approx(0.8303071263161773, rel=1e-12)
+        for budget in (1, 2, 5, 10, 50, 100, 500, 1000):
+            assert not speedup_schedulable(
+                ts, 0.8292, max_candidates=budget, engine=engine
+            ), budget
+        assert not speedup_schedulable(ts, 0.8292, engine=engine)
