@@ -221,11 +221,62 @@ def hi_mode_rate(taskset: TaskSet) -> float:
 
 
 def dbf_hi_excess_bound(taskset: TaskSet) -> float:
-    """``B`` with ``DBF_HI(Delta) <= rate * Delta + B`` for all ``Delta``.
+    """Total HI-mode budget ``sum C_i(HI)`` of the non-terminated tasks.
 
-    Per task, ``floor(Delta/T) * C + r <= (Delta/T) * C + C``.
+    A loose offset with ``DBF_HI(Delta) <= rate * Delta + B`` (per task,
+    ``floor(Delta/T) * C + r <= (Delta/T) * C + C``).  The Theorem-2 scan
+    bounds future demand with the tight :func:`dbf_hi_envelope` instead;
+    this sum is kept for its exact-zero test: it is ``0.0`` iff every task
+    is terminated (no HI-mode demand at all).
     """
     return sum(t.c_hi for t in taskset if not t.terminated_in_hi)
+
+
+def task_hi_envelope(
+    c_lo: float, c_hi: float, d_lo: float, d_hi: float, t_hi: float
+) -> float:
+    """``b + slack`` for one non-terminated task (see :func:`dbf_hi_envelope`).
+
+    With ``Delta = k*T + phi`` the staircase minus its drift is
+    ``dbf_HI(Delta) - u*Delta = r(phi - g) - u*phi``, periodic in ``phi``:
+    zero-or-falling before the carry-over window opens at ``phi = g``,
+    then slope ``1 - u`` up to ``p = min(g + C(LO), T)`` and slope ``-u``
+    after, so its supremum ``b`` sits at ``phi`` in ``{0, g, p}``.  The
+    slack ``FLOOR_SLACK * (C(HI) + u)`` covers breakpoint-aligned ``Delta``
+    counted up to ``FLOOR_SLACK * (T + Delta)`` early by :func:`_floor_div`
+    and :func:`_w_slack` (DESIGN.md Section 9).
+    """
+    # Scalar compares, not min/max calls: this runs per task whenever a
+    # compiled set first needs its envelope (CompiledTaskSet.dbf_envelope).
+    if t_hi == math.inf:
+        return c_hi  # at most one (carry-over) job, ever
+    u = c_hi / t_hi
+    gap = d_hi - d_lo
+    slack = FLOOR_SLACK * (c_hi + u)
+    if not gap < t_hi:  # the carry-over window never opens
+        return slack
+    extra = c_hi - c_lo
+    p = gap + c_lo if gap + c_lo < t_hi else t_hi
+    opening = extra - u * gap
+    peak = (p - gap) + extra - u * p
+    b = opening if opening > peak else peak
+    return (b if b > 0.0 else 0.0) + slack
+
+
+def dbf_hi_envelope(taskset: TaskSet) -> float:
+    """``B_env`` with evaluated ``DBF_HI(Delta) <= rate*(1+FLOOR_SLACK)*Delta + B_env``.
+
+    ``B_env = sum_i (b_i + slack_i)`` with ``b_i = sup_Delta (dbf_HI,i(Delta)
+    - u_i*Delta)`` in closed form (:func:`task_hi_envelope`); terminated
+    tasks contribute 0.  Each ``b_i`` is exact (no smaller constant bounds
+    that task's staircase); the sum is reached only where the tasks'
+    worst phases align.
+    """
+    total = 0.0
+    for t in taskset:
+        if not t.terminated_in_hi:
+            total += task_hi_envelope(t.c_lo, t.c_hi, t.d_lo, t.d_hi, t.t_hi)
+    return total
 
 
 def adb_hi_excess_bound(taskset: TaskSet, *, drop_terminated_carryover: bool = False) -> float:

@@ -70,8 +70,10 @@ from repro.analysis import points as pts
 from repro.analysis.dbf import (
     FLOOR_SLACK,
     adb_hi_excess_bound,
+    dbf_hi_envelope,
     dbf_hi_excess_bound,
     hi_mode_rate,
+    task_hi_envelope,
     total_adb_hi,
     total_dbf_hi,
     total_dbf_lo,
@@ -387,6 +389,8 @@ class CompiledTaskSet:
         # active-row (non-terminated) columns for the HI-mode kernels,
         # built lazily on first HI demand evaluation
         "_hi_cols",
+        # Theorem-2 envelope offset, computed on first use (dbf_envelope)
+        "_dbf_envelope",
         # scalars mirroring the python-sum order of dbf.py / points.py
         "rate",
         "dbf_excess",
@@ -455,6 +459,7 @@ class CompiledTaskSet:
         # LO-only probes (one derived compile per exact-x bisection step)
         # never touch the HI kernels.
         self._hi_cols = None
+        self._dbf_envelope = None
 
         self._compile_scalars()
         # Breakpoint tables are built lazily per kind (dbf/adb/lo): a
@@ -534,6 +539,24 @@ class CompiledTaskSet:
         self.lo_density = lo_density
         finite = [p for p in t_hi if not math.isinf(p)]
         self._max_finite_period = max(finite) if finite else 0.0
+
+    @property
+    def dbf_envelope(self) -> float:
+        """Theorem-2 envelope offset ``B_env``, bit-equal to
+        :func:`repro.analysis.dbf.dbf_hi_envelope` (same terms, same
+        order).  Computed on first use, like the HI-kernel columns: the
+        LO-only probes of the exact-x bisection never need it."""
+        envelope = self._dbf_envelope
+        if envelope is None:
+            envelope = 0.0
+            for c_lo, c_hi, d_lo, d_hi, t_hi, terminated in zip(
+                self.c_lo.tolist(), self.c_hi.tolist(), self.d_lo.tolist(),
+                self.d_hi.tolist(), self.t_hi.tolist(), self.terminated.tolist(),
+            ):
+                if not terminated:
+                    envelope += task_hi_envelope(c_lo, c_hi, d_lo, d_hi, t_hi)
+            self._dbf_envelope = envelope
+        return envelope
 
     def _hi_active_cols(self) -> Dict[str, np.ndarray]:
         """Active-row (non-terminated) HI-kernel columns, built lazily.
@@ -1914,6 +1937,10 @@ class ScalarEvaluator:
     @property
     def dbf_excess(self) -> float:
         return self._scalar("dbf_excess", lambda: dbf_hi_excess_bound(self.taskset))
+
+    @property
+    def dbf_envelope(self) -> float:
+        return self._scalar("dbf_envelope", lambda: dbf_hi_envelope(self.taskset))
 
     def adb_excess(self, *, drop_terminated_carryover: bool = False) -> float:
         key = f"adb_excess_{drop_terminated_carryover}"

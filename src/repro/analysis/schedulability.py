@@ -228,7 +228,7 @@ def system_schedulable(
             hi_ok=math.isfinite(s_min.s_min),
             resetting=None,
         )
-    hi_ok = s_min.s_min <= s * (1.0 + _RTOL)
+    hi_ok = s_min.certifies(s, _RTOL)
     reset = (
         resetting_time(
             taskset,

@@ -16,15 +16,21 @@ monotone, so it is maximised at segment endpoints; because ``f`` is
 right-continuous and jumps upward, every local maximum of the ratio is
 attained *at* a breakpoint.  Enumeration stops once the envelope bound
 
-    f(Delta) <= rate * Delta + B,   rate = sum C_i(HI)/T_i(HI),
-                                    B    = sum C_i(HI)
+    f(Delta) <= rate * (1 + FLOOR_SLACK) * Delta + B_env,
+        rate  = sum C_i(HI)/T_i(HI),
+        B_env = sum_i sup_Delta (DBF_HI,i(Delta) - u_i*Delta) + slack_i
 
 proves that no later breakpoint can beat the best ratio found so far.
+``B_env`` is the exact per-task HI-demand envelope in closed form
+(:func:`repro.analysis.dbf.dbf_hi_envelope`, DESIGN.md Section 9), with
+a slack term for the rounding-tolerant floors of the evaluated demand.
 As ``Delta -> inf`` the ratio tends to ``rate``, so the result is
 ``max(rate, best breakpoint ratio)``.  When the best breakpoint ratio
-stays at or below ``rate`` the scan is cut off once the envelope gap
-``B/Delta`` drops below a relative tolerance; the returned
-:class:`SpeedupResult` then carries a certified upper bound.
+stays at or below ``rate`` the scan stops once the envelope gap
+``B_env/Delta`` drops below a relative tolerance — for a set whose every
+staircase stays on its drift line (``B_env`` only slack) that is the
+first window.  A scan cut off by the candidate budget returns a
+:class:`SpeedupResult` carrying a certified upper bound.
 
 Demand evaluation goes through :mod:`repro.analysis.kernels`: the
 default ``engine="compiled"`` uses the fused struct-of-arrays kernels
@@ -45,6 +51,7 @@ from typing import Any, Dict, Optional, Union
 import numpy as np
 
 from repro.analysis.budget import AnalysisBudgetExceeded
+from repro.analysis.dbf import FLOOR_SLACK
 from repro.analysis.kernels import (
     MEMO,
     PERF,
@@ -56,6 +63,13 @@ from repro.analysis.result import decode_float, encode_float
 from repro.analysis.scan import Breakpoints, Demand, Peak, Scan, run_scan
 from repro.model.taskset import TaskSet
 from repro.obs import trace
+
+
+#: Relative tolerance for declaring the asymptotic rate dominant.
+DEFAULT_RTOL = 1e-9
+
+#: Default cap on the number of breakpoints examined.
+DEFAULT_MAX_CANDIDATES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -97,6 +111,15 @@ class SpeedupResult:
     def requires_speedup(self) -> bool:
         """True when the HI mode needs more than nominal speed."""
         return self.s_min > 1.0
+
+    def certifies(self, s: float, rtol: float = DEFAULT_RTOL) -> bool:
+        """True iff speedup ``s`` provably suffices (within ``rtol``).
+
+        Decided by the certified ``upper_bound``: on an exact result it
+        equals ``s_min``, while a budget-cut ``s_min`` is only a lower
+        bound on the supremum, so a verdict it cannot certify is False.
+        """
+        return self.upper_bound <= s * (1.0 + rtol)
 
     # -- AnalysisResult protocol (repro.analysis.result) ----------------
     @property
@@ -144,13 +167,6 @@ class SpeedupResult:
         return self.s_min
 
 
-#: Relative tolerance for declaring the asymptotic rate dominant.
-DEFAULT_RTOL = 1e-9
-
-#: Default cap on the number of breakpoints examined.
-DEFAULT_MAX_CANDIDATES = 2_000_000
-
-
 def _min_speedup_scan(
     ev: Evaluator, *, rtol: float, max_candidates: int, on_budget: str
 ) -> Scan[SpeedupResult]:
@@ -161,7 +177,9 @@ def _min_speedup_scan(
     if float(zero[0]) > 1e-12:  # positive demand in a zero-length interval
         return SpeedupResult(math.inf, None, True, math.inf, 0)
     # dbf_excess is a sum of non-negative HI budgets, so exact zero is
-    # equivalent to <= 0 — no float equality needed.
+    # equivalent to <= 0 — no float equality needed.  The envelope would
+    # not do: it can be (all but) zero on an active set whose supremum is
+    # the unattained rate.
     if ev.dbf_excess <= 0.0:  # every task terminated: no HI-mode demand
         return SpeedupResult(0.0, None, True, 0.0, 0)
     return (yield from _supremum_scan(
@@ -190,7 +208,9 @@ def _supremum_scan(
     continue from where it stopped instead of rescanning from zero.
     """
     rate = ev.rate
-    excess = ev.dbf_excess
+    # Every Delta obeys DBF_HI(Delta) <= drift * Delta + envelope.
+    drift = rate * (1.0 + FLOOR_SLACK)
+    envelope = ev.dbf_envelope
 
     while True:
         window_hi = ev.clamp_window(window_lo, window_hi, kind="dbf")
@@ -207,8 +227,9 @@ def _supremum_scan(
                 best_delta = peak_delta
             examined += int(candidates.size)
 
-        # Envelope pruning: any Delta > window_hi has ratio <= rate + B/Delta.
-        future_cap = rate + excess / window_hi
+        # Envelope pruning: any Delta > window_hi has a ratio of at most
+        # drift + B_env / Delta.
+        future_cap = drift + envelope / window_hi
         target = max(best_ratio, rate)
         if future_cap <= target * (1.0 + rtol) + rtol:
             if best_ratio >= rate:
@@ -229,10 +250,10 @@ def _supremum_scan(
             return SpeedupResult(max(best_ratio, rate), best_delta, False, upper, examined)
 
         window_lo = window_hi
-        if best_ratio > rate * (1.0 + rtol) + rtol:
+        if best_ratio > max(rate * (1.0 + rtol) + rtol, drift):
             # A finite stopping point exists: beyond it the envelope cannot
             # reach best_ratio.
-            stop = excess / (best_ratio - rate)
+            stop = envelope / (best_ratio - drift)
             window_hi = min(max(2.0 * window_hi, window_lo * 1.5), max(stop, window_lo * 1.1))
             if window_hi <= window_lo:
                 return SpeedupResult(best_ratio, best_delta, True, best_ratio, examined)
@@ -310,7 +331,8 @@ def speedup_schedulable(
 
     Checks ``sum DBF_HI(Delta) <= s * Delta`` for all ``Delta >= 0``
     (Theorem 2 rearranged), using a direct bounded scan: beyond
-    ``Delta > B / (s - rate)`` the envelope guarantees satisfaction.
+    ``Delta > B_env / (s*(1 + rtol) - rate*(1 + FLOOR_SLACK))`` the
+    envelope guarantees satisfaction.
     Returns False when ``s < rate`` (long-run overload).  On budget
     exhaustion, ``on_budget`` selects between resuming the certified
     supremum scan from the current scan state (``"inexact"``) and raising
@@ -327,14 +349,16 @@ def speedup_schedulable(
     if float(ev.total_dbf_hi(0.0)) > 1e-12:  # infinite speedup needed
         return False
     rate = ev.rate
-    excess = ev.dbf_excess
-    if excess <= 0.0:  # sum of non-negative budgets: exact zero iff all zero
+    # dbf_excess, not the envelope: only the total budget is zero iff
+    # every task is terminated (an envelope of zero is an active set).
+    if ev.dbf_excess <= 0.0:  # sum of non-negative budgets: exact zero iff all zero
         return True
     if s < rate * (1.0 - rtol):
         return False
     if s <= 0.0:
         return False
-    horizon = excess / max(s - rate, rtol * max(1.0, s))
+    lead = s * (1.0 + rtol) - rate * (1.0 + FLOOR_SLACK)
+    horizon = ev.dbf_envelope / max(lead, rtol * max(1.0, s))
     window_lo, step = 0.0, ev.initial_window()
     examined = 0
     best_ratio, best_delta = 0.0, None
@@ -378,7 +402,7 @@ def speedup_schedulable(
                         best_delta=best_delta, examined=examined,
                     )
                     cont = run_scan(resumed, ev)
-                    return cont.upper_bound <= s * (1.0 + rtol)
+                    return cont.certifies(s, rtol)
             window_lo = window_hi
             step *= 2.0
     return True

@@ -130,13 +130,13 @@ class SpeedupAdmission:
         if feasible:
             speedups = min_speedup_many([trials[k] for k in feasible])
             for k, result in zip(feasible, speedups):
-                verdicts[k] = result.s_min <= self.speedup_cap * (1.0 + _CAP_RTOL)
+                verdicts[k] = result.certifies(self.speedup_cap, _CAP_RTOL)
         return verdicts
 
     def _admit_scalar(self, trial: TaskSet) -> bool:
         if not lo_mode_schedulable(trial):
             return False
-        return min_speedup(trial).s_min <= self.speedup_cap * (1.0 + _CAP_RTOL)
+        return min_speedup(trial).certifies(self.speedup_cap, _CAP_RTOL)
 
 
 class EdfVdDegradedAdmission:

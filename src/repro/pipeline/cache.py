@@ -45,10 +45,15 @@ from repro.pipeline.payload import ReportPayload
 PathLike = Union[str, Path]
 
 #: Version of the checksummed on-disk cache entry format.  Entries are
-#: CRC-wrapped (``{"crc": ..., "entry": {"cache_format": 2, "report":
-#: ...}}``); pre-checksum entries (a bare report payload) are still
-#: accepted on read.
-CACHE_FORMAT_VERSION = 2
+#: CRC-wrapped (``{"crc": ..., "entry": {"cache_format": 3, "report":
+#: ...}}``).  The version also stamps the analysis that produced the
+#: report: version 3 reports come from the Theorem-2 scan with the exact
+#: per-task HI-demand envelope, which certifies sets the older scans cut
+#: off at the candidate budget (``exact``, ``upper_bound``,
+#: ``candidates_examined`` and ``critical_delta`` differ).  Any other
+#: version, and a pre-checksum entry (a bare report payload), is a miss
+#: that is recomputed once.
+CACHE_FORMAT_VERSION = 3
 
 
 def request_fingerprint(taskset: TaskSet, options: Dict[str, Any]) -> str:
@@ -82,7 +87,8 @@ class ResultCache:
     corrupt, torn or unreadable entry degrades to a cache *miss* — it
     is counted in :attr:`corrupt` (or :attr:`io_errors`), best-effort
     deleted, and recomputed — never a crash and never silently wrong
-    data.  Entries written before the checksum format are still read.
+    data.  Entries of another :data:`CACHE_FORMAT_VERSION` (including
+    the pre-checksum bare payloads) are misses the same way.
     ``io`` is the injectable filesystem seam the chaos harness uses to
     simulate storage faults; :meth:`put` raises ``OSError`` to the
     caller (the runner retries it under its
@@ -124,14 +130,14 @@ class ResultCache:
             self.io_errors += 1
             return None
         entry = decode_durable_line(text)
-        if entry is not None and "cache_format" in entry:
+        if entry is not None:
             if entry.get("cache_format") != CACHE_FORMAT_VERSION:
-                entry = None
+                entry = None  # another format (or none): a stale analysis
             else:
                 report = entry.get("report")
                 entry = report if isinstance(report, dict) else None
         if entry is not None and not ("name" in entry and "key" in entry):
-            entry = None  # legacy shape must at least look like a report
+            entry = None  # must at least look like a report
         if entry is None:
             self.corrupt += 1
             try:  # a corrupt entry only wastes a recompute once

@@ -279,7 +279,7 @@ def _evaluate_grouped(
             assert isinstance(outcome, SpeedupResult)
             item.speedup_result = outcome
             if item.request.speedup is not None:
-                item.hi_ok = outcome.s_min <= item.request.speedup * (1.0 + _RTOL)
+                item.hi_ok = outcome.certifies(item.request.speedup, _RTOL)
 
     # ------------------------------------------------------------------
     # Stage 5: Corollary-5 resetting time under the request's policy.

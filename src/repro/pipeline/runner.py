@@ -122,7 +122,9 @@ ResultT = TypeVar("ResultT")
 #: Version stamped into every checkpoint entry.  Version 2 entries are
 #: CRC-wrapped durable lines; version 1 (pre-CRC) lines are still
 #: accepted on resume.  Unknown versions are skipped rather than
-#: misinterpreted.
+#: misinterpreted.  Unlike ``cache.CACHE_FORMAT_VERSION`` it does not
+#: track analysis changes: a checkpoint only resumes the run that wrote
+#: it, so its reports never outlive the code that computed them.
 CHECKPOINT_VERSION = 2
 
 #: Checkpoint entry versions accepted on resume.

@@ -43,6 +43,22 @@ def table1_degraded() -> TaskSet:
 
 
 @pytest.fixture
+def multi_window_set() -> TaskSet:
+    """A Fig.-6-style set whose Theorem-2 scan spans several windows.
+
+    Its exact ``s_min`` (0.8303071263161773) lies above the demand rate
+    (0.8280707...) and is found only after the first window's 1827
+    breakpoints, so any budget below that cuts the scan and gives an
+    inexact result whose ``s_min`` is the rate, a lower bound.
+    """
+    from repro.generator.taskgen import GeneratorConfig, population
+    from repro.model.transform import apply_uniform_scaling
+
+    base = population(0.85, 10, seed=2, config=GeneratorConfig())[3]
+    return apply_uniform_scaling(base, 0.3, 3.0)
+
+
+@pytest.fixture
 def fms() -> TaskSet:
     from repro.generator.fms import fms_taskset
 

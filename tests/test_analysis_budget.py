@@ -78,19 +78,18 @@ class TestResettingBudget:
 
 
 class TestSpeedupBudget:
-    def test_inexact_result_by_default(self):
-        ts = near_critical_set()
-        result = min_speedup(ts, max_candidates=50)
-        if not result.exact:
-            assert result.upper_bound >= result.s_min
+    def test_inexact_result_by_default(self, multi_window_set):
+        exact = min_speedup(multi_window_set)
+        assert exact.exact
+        result = min_speedup(multi_window_set, max_candidates=50)
+        assert not result.exact
+        # The cut scan brackets the true supremum.
+        assert result.s_min < exact.s_min < result.upper_bound
 
-    def test_raise_mode(self):
-        ts = near_critical_set()
-        exact = min_speedup(ts)
-        if exact.candidates_examined > 50:
-            with pytest.raises(AnalysisBudgetExceeded) as err:
-                min_speedup(ts, max_candidates=50, on_budget="raise")
-            assert "min_speedup" in str(err.value)
+    def test_raise_mode(self, multi_window_set):
+        with pytest.raises(AnalysisBudgetExceeded) as err:
+            min_speedup(multi_window_set, max_candidates=50, on_budget="raise")
+        assert "min_speedup" in str(err.value)
 
     def test_on_budget_validation(self, table1):
         with pytest.raises(ValueError):
@@ -98,12 +97,88 @@ class TestSpeedupBudget:
         with pytest.raises(ValueError):
             speedup_schedulable(table1, 2.0, on_budget="explode")
 
-    def test_schedulable_raise_mode(self):
-        ts = near_critical_set()
+    def test_schedulable_raise_mode(self, multi_window_set):
         with pytest.raises(AnalysisBudgetExceeded):
-            speedup_schedulable(ts, 1.9, max_candidates=100, on_budget="raise")
+            speedup_schedulable(
+                multi_window_set, 0.85, max_candidates=100, on_budget="raise"
+            )
 
     def test_exact_results_unchanged(self, table1):
         result = min_speedup(table1)
         assert result.exact
         assert result.s_min == pytest.approx(4.0 / 3.0)
+
+
+class TestUncertifiedVerdict:
+    """A budget-cut ``s_min`` is a lower bound: it cannot certify ``s``.
+
+    ``multi_window_set`` needs 0.8303071263161773; cut at any budget
+    below its first window it reports ``s_min`` = rate = 0.82807...,
+    which is below the asked 0.8292 although the set is not schedulable
+    there.
+    """
+
+    S = 0.8292
+
+    def _requests(self, multi_window_set, budgets):
+        from repro.pipeline.request import AnalysisRequest
+
+        return [
+            AnalysisRequest(
+                taskset=multi_window_set, speedup=self.S, max_candidates=m,
+                resetting="never",
+            )
+            for m in budgets
+        ]
+
+    def test_certifies_uses_the_upper_bound(self, multi_window_set):
+        cut = min_speedup(multi_window_set, max_candidates=50)
+        assert cut.s_min <= self.S < cut.upper_bound
+        assert not cut.certifies(self.S)
+        assert cut.certifies(cut.upper_bound)
+        exact = min_speedup(multi_window_set)
+        assert exact.certifies(exact.s_min) and not exact.certifies(self.S)
+        assert not speedup_schedulable(multi_window_set, self.S)
+
+    def test_per_set_verdict(self, multi_window_set):
+        from repro.pipeline.request import evaluate_request
+
+        for request in self._requests(multi_window_set, (1, 50, 1000)):
+            report = evaluate_request(request)
+            assert not report.speedup.exact
+            assert report.speedup.s_min <= self.S
+            assert report.hi_ok is False
+
+    def test_population_verdict_matches(self, multi_window_set):
+        from repro.pipeline.grouping import evaluate_chunk_grouped
+        from repro.pipeline.request import evaluate_request
+
+        requests = self._requests(multi_window_set, (1, 50, 1000, 2_000_000))
+        grouped = evaluate_chunk_grouped(requests)
+        assert [r.hi_ok for r in grouped] == [False] * 4
+        assert [r.speedup.exact for r in grouped] == [False, False, False, True]
+        assert [r.to_dict() for r in grouped] == [
+            evaluate_request(r).to_dict() for r in requests
+        ]
+
+    @pytest.mark.parametrize("engine", ["population", "scalar"])
+    def test_multiproc_admission(self, monkeypatch, engine):
+        from repro.analysis.speedup import SpeedupResult
+        from repro.multiproc import admission
+
+        def cut(certified):
+            upper = 1.5 if certified else 3.0
+            return SpeedupResult(1.0, 4.0, certified, upper, 10)
+
+        candidate = MCTask.hi("c", c_lo=1, c_hi=3, d_lo=1, d_hi=4, period=4)
+        admit = admission.SpeedupAdmission(2.0, engine=engine)
+        for certified in (False, True):
+            monkeypatch.setattr(
+                admission, "min_speedup", lambda ts: cut(certified)
+            )
+            monkeypatch.setattr(
+                admission, "min_speedup_many",
+                lambda sets: [cut(certified) for _ in sets],
+            )
+            expected = [0, 1] if certified else []
+            assert admit.admitting_cores([[], []], candidate, [0, 1]) == expected

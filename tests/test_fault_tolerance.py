@@ -32,6 +32,7 @@ from repro.pipeline import (
     encode_durable_line,
     load_quarantine,
 )
+from repro.pipeline.cache import CACHE_FORMAT_VERSION
 from repro.pipeline.chaos import FlakyIO
 from repro.pipeline.fault_tolerance import DurableAppender, claim
 from repro.pipeline.request import AnalysisRequest
@@ -463,14 +464,40 @@ class TestCacheCorruption:
         assert rerun.stats.cache_hits == 2
         assert rerun.stats.computed == 1
 
-    def test_pre_checksum_entry_still_readable(self, tmp_path, population):
+    @staticmethod
+    def _rewrite_entry(tmp_path, population, rewrite):
+        """Cache one report, rewrite its disk entry, reopen the cache."""
         cache = ResultCache(tmp_path / "cache")
         run_core(population[:1], jobs=1, cache=cache, install_signal_handlers=False)
         key = population[0].key
         entry_file = tmp_path / "cache" / key[:2] / f"{key}.json"
         wrapped = decode_durable_line(entry_file.read_text())
-        # Rewrite as the legacy (bare report, no CRC) format.
-        entry_file.write_text(json.dumps(wrapped["report"]))
-        fresh = ResultCache(tmp_path / "cache")
-        assert fresh.get(key) is not None
-        assert fresh.corrupt == 0
+        assert wrapped["cache_format"] == CACHE_FORMAT_VERSION
+        entry_file.write_text(rewrite(wrapped))
+        return ResultCache(tmp_path / "cache"), key, entry_file
+
+    def test_pre_checksum_entry_is_a_miss(self, tmp_path, population):
+        # The legacy (bare report, no CRC) format predates the current
+        # analysis: its report may be stale, so it is recomputed.
+        fresh, key, entry_file = self._rewrite_entry(
+            tmp_path, population, lambda wrapped: json.dumps(wrapped["report"])
+        )
+        assert fresh.get(key) is None
+        assert fresh.corrupt == 1
+        assert not entry_file.exists()
+
+    def test_format_2_entry_is_a_miss(self, tmp_path, population):
+        # Format-2 reports come from the scan without the HI-demand
+        # envelope: a budget-cut request would replay an inexact result.
+        fresh, key, entry_file = self._rewrite_entry(
+            tmp_path, population,
+            lambda wrapped: encode_durable_line({**wrapped, "cache_format": 2}),
+        )
+        assert fresh.get(key) is None
+        assert (fresh.misses, fresh.corrupt) == (1, 1)
+        assert not entry_file.exists()
+        rerun, _ = run_core(
+            population[:1], jobs=1, cache=fresh, install_signal_handlers=False
+        )
+        assert rerun.stats.computed == 1
+        assert ResultCache(tmp_path / "cache").get(key) is not None

@@ -476,7 +476,7 @@ class TestRL006RealTree:
             ("repro/pipeline/runner.py",
              "CHECKPOINT_VERSION = 2", "CHECKPOINT_VERSION = 3"),
             ("repro/pipeline/cache.py",
-             "CACHE_FORMAT_VERSION = 2", "CACHE_FORMAT_VERSION = 3"),
+             "CACHE_FORMAT_VERSION = 3", "CACHE_FORMAT_VERSION = 4"),
             ("repro/service/schema.py",
              "WIRE_VERSION = 1", "WIRE_VERSION = 2"),
         ):
